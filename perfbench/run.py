@@ -75,7 +75,7 @@ class Loop:
             self.sampler = random.Random(0)
         self.peak_rss_mb = 0.0  # of this process, when the loop ended
         self.prefix_digest = ""  # over the workload's first digest_ops outputs
-        self.full_digest = ""  # over every output
+        self.batch_digests: list[str] = []  # over the outputs up to each batch's end
 
     def record(self, took: float) -> None:
         """Keep the latency of operation number ``self.ops``."""
@@ -102,20 +102,23 @@ class Loop:
         return self.batch / _calm_mean(self.batches)
 
 
-def run_loop(workload, op, seed: int, seconds: float = 0.0, count: int = 0, tracer=None) -> Loop:
-    """Run operations one after another until ``seconds`` have passed and the
-    workload's minimum is met, or, when ``count`` is given, for ``count``
-    operations.  Only the operation is timed, at reference speed; its answer
-    is checked after."""
+def run_loop(workload, op, seed: int, seconds: float = 0.0, count: int = 0,
+             at_least: int = 0, tracer=None) -> Loop:
+    """Run operations one after another until ``seconds`` have passed and
+    at least ``at_least`` and the workload's minimum are done, or, when
+    ``count`` is given, for ``count`` operations.  Only the operation is
+    timed, at reference speed; its answer is checked after."""
     loop = Loop(workload)
     prefix, full = hashlib.sha256(), hashlib.sha256()
     batch_busy = 0.0
+    least = max(workload.min_ops, at_least)
     speed = Speed()
     start = time.perf_counter()
     for x in workload.inputs(seed):
         scale = speed.update()
         if tracer:
             tracer.on = True
+            tracer.scale = scale
         began = time.perf_counter()
         try:
             result = op(x)
@@ -145,27 +148,27 @@ def run_loop(workload, op, seed: int, seconds: float = 0.0, count: int = 0, trac
         batch_busy += took
         if loop.ops % workload.batch == 0:
             loop.batches.append(batch_busy)
+            loop.batch_digests.append(full.hexdigest())
             batch_busy = 0.0
             if tracer:
                 tracer.batch_done()
             if count:
                 if loop.ops >= count:
                     break
-            elif loop.ops >= workload.min_ops and time.perf_counter() - start >= seconds:
+            elif loop.ops >= least and time.perf_counter() - start >= seconds:
                 break
     loop.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if loop.ops >= workload.digest_ops:
         loop.prefix_digest = prefix.hexdigest()
-    loop.full_digest = full.hexdigest()
     return loop
 
 
-def setup_seconds(name: str, seed: int) -> float:
+def setup_seconds(name: str) -> float:
     """Median set-up time over fresh interpreters."""
     times = []
     for _ in range(SETUP_PROBES):
         done = subprocess.run(
-            [sys.executable, str(HERE / "setup_probe.py"), name, str(seed)],
+            [sys.executable, str(HERE / "setup_probe.py"), name],
             capture_output=True, text=True, timeout=120, check=True,
         )
         times.append(float(done.stdout.split()[-1]))
@@ -189,7 +192,7 @@ def digest_ok(workload, seed: int, loop: Loop) -> bool:
 
 
 def end_to_end(workload, seed: int, seconds: float):
-    seconds_setup = setup_seconds(workload.name, seed)
+    seconds_setup = setup_seconds(workload.name)
     op = workload.bind()
     loop = run_loop(workload, op, seed, seconds=seconds)
     lat = loop.calm_latencies()
@@ -223,17 +226,19 @@ def end_to_end(workload, seed: int, seconds: float):
 
 def traced(workload, seed: int, seconds: float):
     op = workload.bind()
-    # half the time untraced, then the same operations traced
-    plain = run_loop(workload, op, seed, seconds=seconds / 2)
+    # Half the time untraced, then a fixed number of the same operations
+    # traced, so that the per-layer figures count the same work on any box.
+    count = workload.trace_batches * workload.batch
+    plain = run_loop(workload, op, seed, seconds=seconds / 2, at_least=count)
     tracer = Tracer()
     tracer.install()
-    loop = run_loop(workload, op, seed, count=plain.ops, tracer=tracer)
+    loop = run_loop(workload, op, seed, count=count, tracer=tracer)
     values = tracer.metrics(plain.calm_ops_per_s() / loop.calm_ops_per_s())
     metrics = {name: (values[name], unit) for name, unit in PER_LAYER.items()}
     for name, (value, unit) in metrics.items():
         print(f"{name} {value} {unit}")
     problems = tracer.self_check(workload.name)
-    if loop.full_digest != plain.full_digest:
+    if loop.batch_digests != plain.batch_digests[: workload.trace_batches]:
         problems.append("traced outputs differ from untraced outputs")
     for problem in problems:
         print(f"self-check: {problem}", file=sys.stderr)

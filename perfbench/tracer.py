@@ -10,9 +10,11 @@ package changes.
 Each wrapper adds to an in-memory count and self time for its function;
 no span is stored per call.  Self time is the span's time minus the time of
 the wrapped calls made inside it, so recursive calls are attributed to each
-level once.  Time spent in unwrapped helpers is charged to the nearest
-wrapped caller.  Between operations (during answer checks) the tracer is off
-and the wrappers only count calls apart, for the self-check.
+level once.  Like every timing of the benchmark it is given at reference
+speed (see reference.py), by the scale of the operation it ran in.  Time
+spent in unwrapped helpers is charged to the nearest wrapped caller.
+Between operations (during answer checks) the tracer is off and the
+wrappers only count calls apart, for the self-check.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ TARGETS = (
     ("games", "Universe.negate"),
     ("games", "Universe.stops"),
     ("games", "Universe.outcome"),
-    ("games", "Universe.from_number"),
-    ("games", "Universe.as_number"),
     ("rcf", "reduced_canonical_form"),
     ("rcf", "geq_inf"),
     ("positions", "winning_move"),
@@ -117,8 +117,6 @@ EXERCISED_BY = {
     "games.negate": "solve_cli",
     "games.stops": "oracle_sweep",
     "games.outcome": "solve_cli",
-    "games.from_number": "oracle_sweep",
-    "games.as_number": "oracle_sweep",
     "rcf.reduced_canonical_form": "oracle_sweep",
     "rcf.geq_inf": "oracle_sweep",
     "positions.winning_move": "solve_cli",
@@ -148,6 +146,7 @@ class Tracer:
 
     def __init__(self):
         self.on = False
+        self.scale = 1.0  # reference-speed factor of the current operation
         self.stats: dict[str, _Stat] = {}
         self.arena_size = 0
         self._universes = []
@@ -200,7 +199,7 @@ class Tracer:
                 return fn(*args, **kwargs)
             finally:
                 span = clock() - start
-                stat.self_s += span - stack.pop()
+                stat.self_s += (span - stack.pop()) * self.scale
                 stack[-1] += span
 
         return wrapper

@@ -32,6 +32,7 @@ class Workload:
     min_ops = 1  # a run makes at least this many operations
     digest_ops = 0  # operations covered by the recorded output digest
     digest = ""  # their sha256 at DEFAULT_SEED, recorded when the benchmark was added
+    trace_batches = 4  # batches a traced run traces, whatever the run's length
 
     def inputs(self, seed: int):
         raise NotImplementedError
@@ -52,6 +53,7 @@ class ClassifierStream(Workload):
     """Heap sizes through ``nugget.heap_rcf``, in one of two size bands."""
 
     digest_ops = 1000
+    trace_batches = 20
 
     def __init__(self, band: str, why: str, digest: str):
         # about 0.1-0.2 s of work, so a batch's cost hardly depends on its draw
@@ -101,6 +103,7 @@ class OracleSweep(Workload):
            "checked against the classifier; the build-heavy games path")
     batch = ORACLE_H + 1
     replayed = True
+    trace_batches = 2  # 5M geq calls a sweep; a traced sweep takes ~2.5x as long
     digest_ops = ORACLE_H + 1
     digest = "c003d1cc11117a3ca2a3b3f06847f8157d8fb29a91f186a533d6da3c4e9e8a64"
 
