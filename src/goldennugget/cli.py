@@ -23,10 +23,16 @@ from .games import ResourceLimitError, Universe
 from .rcf import reduced_canonical_form
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"nonnegative integer required, got {text!r}")
+    return int(text)
+
+
 def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--oracle-bound", type=int, default=nugget.ORACLE_BOUND, metavar="N")
+    p.add_argument("--oracle-bound", type=_nonnegative_int, default=nugget.ORACLE_BOUND, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     return p

@@ -176,9 +176,9 @@ class Universe:
             if known is not None:
                 result = known
                 break
-            ls = [a for a in ls if not any(b != a and self.geq(b, a) for b in ls)]
-            rs = [b for b in rs if not any(c != b and self.geq(b, c) for c in rs)]
-            replaced = self._bypass_left(current, ls) or self._bypass_right(current, rs)
+            ls = _undominated(ls, self.geq)
+            rs = _undominated(rs, self.leq)
+            replaced = self._bypass(current, ls, 0, self.leq) or self._bypass(current, rs, 1, self.geq)
             trimmed = self.make_game(ls, rs)
             if not replaced and trimmed == current:
                 result = current
@@ -187,24 +187,14 @@ class Universe:
         self._canon[g] = result
         return result
 
-    def _bypass_left(self, game: GameId, ls: list[GameId]) -> bool:
-        # a left option is reversible through any of its right options <= game
-        for pos, a in enumerate(ls):
-            for r1 in self._records[a][1]:
-                if self.geq(game, r1):
-                    del ls[pos]
-                    merged = set(ls) | set(self._records[r1][0])
-                    ls[:] = sorted(merged)
-                    return True
-        return False
-
-    def _bypass_right(self, game: GameId, rs: list[GameId]) -> bool:
-        for pos, b in enumerate(rs):
-            for l1 in self._records[b][0]:
-                if self.geq(l1, game):
-                    del rs[pos]
-                    merged = set(rs) | set(self._records[l1][1])
-                    rs[:] = sorted(merged)
+    def _bypass(self, game: GameId, options: list[GameId], side: int, reverses) -> bool:
+        # an option is reversible through any of its opposite-side options
+        # that `reverses` game (Left: <= game, Right: >= game)
+        for pos, a in enumerate(options):
+            for back in self._records[a][1 - side]:
+                if reverses(back, game):
+                    del options[pos]
+                    options[:] = sorted(set(options) | set(self._records[back][side]))
                     return True
         return False
 
@@ -363,6 +353,20 @@ class Universe:
 
 _MISSING = object()
 _NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def _undominated(options: list[GameId], better) -> list[GameId]:
+    """The options no other is ``better`` than, in order, by an antichain scan.
+
+    Exact on distinct canonical ids: no two are equal as games, so dominance
+    is a strict order with a unique maximal set.
+    """
+    survivors = []
+    for x in options:
+        if not any(better(s, x) for s in survivors):
+            survivors = [s for s in survivors if not better(x, s)]
+            survivors.append(x)
+    return survivors
 
 
 def _matching_brace(text: str) -> tuple[str, str]:

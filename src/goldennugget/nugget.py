@@ -25,20 +25,6 @@ from .games import GameId, ResourceLimitError, Universe
 ORACLE_BOUND = 60
 
 
-def left_subtraction_ok(k: int) -> bool:
-    """Left may remove k tokens: k is in the A sequence."""
-    if k <= 0:
-        raise ValueError(f"positive integer required, got {k}")
-    return fw.in_a(k)
-
-
-def right_subtraction_ok(k: int) -> bool:
-    """Right may remove k tokens: k is in the B sequence."""
-    if k <= 0:
-        raise ValueError(f"positive integer required, got {k}")
-    return fw.in_b(k)
-
-
 def s_val(n: int) -> Dyadic:
     """s(n) = (2/3)(4^n - 1)/4^n, the increasing number ladder below 2/3."""
     if n < 0:
@@ -257,13 +243,27 @@ def heap_canonical(u: Universe, h: int, bound: int = ORACLE_BOUND) -> GameId:
     Memoized bottom-up on the universe; guarded by `bound` because canonical
     forms grow quickly with the heap size.
     """
+    return subtraction_canonical(u, "golden", fw.in_a, fw.in_b, h, bound)
+
+
+def subtraction_canonical(u: Universe, name: str, left_ok, right_ok, h: int, bound: int) -> GameId:
+    """The oracle for any subtraction game named `name`: heap h's canonical form.
+
+    Left may remove k when ``left_ok(k)``, Right when ``right_ok(k)``.  The
+    forms of heaps 0, 1, 2, ... and both subtraction lists grow together in
+    the universe, so each predicate runs once per k; a k whose predicate
+    raised is not recorded.
+    """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
     if h > bound:
         raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
-    memo = u.cache("gn_heaps")
+    memo = u.cache(f"heaps:{name}")
+    left, right = u.cache("subtractions").setdefault(name, ([], []))
     for k in range(len(memo), h + 1):
-        left = [memo[k - a] for a in range(1, k + 1) if fw.in_a(a)]
-        right = [memo[k - b] for b in range(1, k + 1) if fw.in_b(b)]
-        memo[k] = u.canonical_form(u.make_game(left, right))
+        if k:
+            to_left, to_right = left_ok(k), right_ok(k)
+            left += [k] * to_left
+            right += [k] * to_right
+        memo[k] = u.canonical_form(u.make_game([memo[k - s] for s in left], [memo[k - s] for s in right]))
     return memo[h]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import fibonacci as fw
 from . import nugget
-from .games import GameId, Outcome, ResourceLimitError, Universe
+from .games import GameId, Outcome, Universe
 
 BLUE = "b"
 RED = "r"
@@ -184,16 +184,9 @@ def parse_spec(text: str) -> CSGameSpec:
 
 
 def _heap_value(u: Universe, spec: CSGameSpec, h: int, bound: int) -> GameId:
-    if h > bound:
-        raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
     if isinstance(spec, GoldenSpec):
         return nugget.heap_canonical(u, h, bound=bound)
-    memo = u.cache(f"cs_heaps:{spec.name}")
-    for k in range(len(memo), h + 1):
-        left = [memo[k - s] for s in range(1, k + 1) if spec.left_ok(s)]
-        right = [memo[k - s] for s in range(1, k + 1) if spec.right_ok(s)]
-        memo[k] = u.canonical_form(u.make_game(left, right))
-    return memo[h]
+    return nugget.subtraction_canonical(u, spec.name, spec.left_ok, spec.right_ok, h, bound)
 
 
 def position_value(

@@ -1,7 +1,10 @@
 import json
 import pathlib
 
+import pytest
+
 from goldennugget import cli
+from goldennugget import positions as pos
 from goldennugget.games import Universe
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "rcf_table_20.txt"
@@ -112,6 +115,30 @@ def test_usage_errors_exit_2():
     assert code == 2
     out, code = run([])
     assert code == 2
+
+
+def test_negative_oracle_bound_is_a_usage_error(capsys):
+    for argv in (["solve", "5b"], ["value", "0"]):
+        out, code = run(argv + ["--oracle-bound", "-1"])
+        assert code == 2 and out == ""
+        assert "nonnegative integer required" in capsys.readouterr().err
+    out, code = run(["value", "0", "--oracle-bound", "0"])
+    assert code == 0 and out == "0\n"
+
+
+def test_explicit_spec_beyond_its_range(capsys):
+    out, code = run(["solve", "5b", "--game", "explicit:L={1,2}"])
+    assert code == 2 and out == ""
+    assert "3 beyond the bounded range 2" in capsys.readouterr().err
+    # the failed growth records nothing: the Universe stays as a fresh one
+    spec = pos.parse_spec("explicit:L={1,2}")
+    u, fresh = Universe(), Universe()
+    with pytest.raises(ValueError, match="3 beyond the bounded range 2"):
+        pos.position_value(u, pos.Position.parse("5b"), spec)
+    two = pos.Position.parse("2b")
+    assert u.to_text(pos.position_value(u, two, spec)) == fresh.to_text(pos.position_value(fresh, two, spec))
+    with pytest.raises(ValueError, match="3 beyond the bounded range 2"):
+        pos.position_value(u, pos.Position.parse("3b"), spec)
 
 
 def test_out_file(tmp_path):

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldennugget.dyadic import Dyadic, ZERO, ONE
-from goldennugget.games import Outcome, Universe
+from goldennugget.games import Outcome, Universe, _undominated
+from goldennugget.verify import _random_game
 
 
 @pytest.fixture
@@ -167,3 +169,16 @@ def test_json_round_trip(u):
     for text in ("0", "1/2", "{1|0}", "{1,{1|0}|0,{1,{1|0}|0}}"):
         g = u.parse(text)
         assert u.from_json_obj(u.to_json_obj(g)) == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_antichain_scan_matches_quadratic_definition(seed, count):
+    u = Universe()
+    rng = random.Random(seed)
+    options = sorted({u.canonical_form(_random_game(u, rng, 4)) for _ in range(count)})
+    # an option survives when no other option is at least as good for its side
+    left = [a for a in options if not any(b != a and u.geq(b, a) for b in options)]
+    right = [b for b in options if not any(c != b and u.geq(b, c) for c in options)]
+    assert _undominated(options, u.geq) == left
+    assert _undominated(options, u.leq) == right

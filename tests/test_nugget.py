@@ -4,17 +4,19 @@ from goldennugget import fibonacci as fw
 from goldennugget import nugget
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import ResourceLimitError, Universe
+from goldennugget.positions import GoldenSpec
 
 
 def test_subtraction_predicates():
     # from a heap of 5, Left reaches {1, 2, 4} and Right reaches {0, 3}
-    left_moves = [5 - a for a in range(1, 6) if nugget.left_subtraction_ok(a)]
-    right_moves = [5 - b for b in range(1, 6) if nugget.right_subtraction_ok(b)]
+    golden = GoldenSpec()
+    left_moves = [5 - a for a in range(1, 6) if golden.left_ok(a)]
+    right_moves = [5 - b for b in range(1, 6) if golden.right_ok(b)]
     assert sorted(left_moves) == [1, 2, 4]
     assert sorted(right_moves) == [0, 3]
-    assert not nugget.left_subtraction_ok(7)
+    assert not golden.left_ok(7)
     with pytest.raises(ValueError):
-        nugget.left_subtraction_ok(0)
+        golden.left_ok(0)
 
 
 def test_value_ladders():
@@ -120,8 +122,8 @@ def test_deep_oracle_classifier_agreement():
     from goldennugget.rcf import reduced_canonical_form
 
     u = Universe()
-    for h in range(301):
-        g = nugget.heap_canonical(u, h, bound=300)
+    for h in range(1001):
+        g = nugget.heap_canonical(u, h, bound=1000)
         fast = u.canonical_form(nugget.heap_rcf(h).to_game(u))
         assert reduced_canonical_form(u, g) == fast, f"h={h}"
         if h and nugget.is_in_q(h):

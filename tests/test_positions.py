@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+from goldennugget import nugget
 from goldennugget import positions as pos
 from goldennugget.dyadic import Dyadic
 from goldennugget.games import Outcome, ResourceLimitError, Universe
@@ -102,6 +105,18 @@ def test_odd_even_values(u):
     assert pos.odd_even_value(u, 1) == u.from_number(Dyadic(1))
     assert pos.odd_even_value(u, 2) == u.parse("{1|0}")
     assert pos.odd_even_value(u, 5) == u.from_number(Dyadic(1, 2))
+    golden = pathlib.Path(__file__).parent / "golden" / "oddeven_values_30.txt"
+    got = "".join(f"{h}\t{u.to_text(pos.odd_even_value(u, h, bound=30))}\n" for h in range(31))
+    assert got == golden.read_text()
+
+
+def test_golden_heaps_share_one_memo(u):
+    value = pos.position_value(u, pos.Position.parse("12b"))
+    size = len(u)
+    assert nugget.heap_canonical(u, 12) == value
+    assert nugget.heap_canonical(u, 9) == pos.position_value(u, pos.Position.parse("9b"))
+    assert len(u) == size  # nothing was built twice
+    assert sorted(u._caches) == ["heaps:golden", "subtractions"]
 
 
 def test_periodicity_probe():
