@@ -32,21 +32,27 @@ def _nonnegative_int(text: str) -> int:
 def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--oracle-bound", type=_nonnegative_int, default=nugget.ORACLE_BOUND, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
+    return p
+
+
+def _oracle() -> argparse.ArgumentParser:
+    """The flag of the commands that run the full-search oracle."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--oracle-bound", type=_nonnegative_int, default=nugget.ORACLE_BOUND, metavar="N")
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common()
+    with_oracle = [common, _oracle()]
     parser = argparse.ArgumentParser(
         prog="goldennugget",
         description="Exact values and number theory for complementary subtraction games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("value", parents=[common], help="oracle canonical form of a heap")
+    p = sub.add_parser("value", parents=with_oracle, help="oracle canonical form of a heap")
     p.add_argument("heap", type=int)
 
     p = sub.add_parser("rcf", parents=[common], help="reduced canonical form of a heap")
@@ -65,28 +71,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=int)
     p.add_argument("--kind", choices=("zeck", "lo", "even"), default="zeck")
 
-    p = sub.add_parser("table", parents=[common], help="reproduce the reference tables")
+    p = sub.add_parser("table", parents=with_oracle, help="reproduce the reference tables")
     p.add_argument("--kind", choices=("values", "rcf", "partition", "numbers", "sequences"),
                    required=True)
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=_nonnegative_int, default=None)
 
-    p = sub.add_parser("solve", parents=[common], help="outcome and winning moves of a position")
+    p = sub.add_parser("solve", parents=with_oracle, help="outcome and winning moves of a position")
     p.add_argument("position", help="literal like 3b+20b+18r")
     p.add_argument("--mover", choices=("L", "R"), default=None)
     p.add_argument("--game", default="golden")
 
     p = sub.add_parser("outcomes", parents=[common], help="single-heap outcomes of a CS game")
     p.add_argument("--game", required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("probe-period", parents=[common], help="look for outcome periodicity")
     p.add_argument("--game", required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run a named invariant suite")
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(verify_mod.SUITES)) + ", all")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_nonnegative_int, default=None)
+    p.add_argument("--seed", type=int, default=0, metavar="N")
 
     return parser
 
@@ -152,14 +159,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _number_value(h: int) -> Dyadic:
+    """Value of a number heap: 0 and 1 directly, the rest by the bit map."""
+    return Dyadic(h) if h in (0, 1) else nugget.xi_inverse(h)  # raises for heaps outside Q
+
+
 def cmd_number(args) -> int:
     h = args.heap
-    if h == 0:
-        value = Dyadic(0)
-    elif h == 1:
-        value = Dyadic(1)
-    else:
-        value = nugget.xi_inverse(h)  # raises for heaps outside Q
+    value = _number_value(h)
     if args.format == "json":
         _emit(args, json.dumps({"h": h, "value": str(value), "binary": value.binary()}) + "\n")
     else:
@@ -177,21 +184,18 @@ def cmd_xi(args) -> int:
     return 0
 
 
+_REPRS = {"zeck": fw.zeckendorf, "lo": fw.least_odd, "even": fw.even_repr}
+
+
 def cmd_repr(args) -> int:
-    kind = {"zeck": fw.ZECKENDORF, "lo": fw.LEAST_ODD, "even": fw.EVEN}[args.kind]
-    if kind == fw.ZECKENDORF:
-        r = fw.zeckendorf(args.x)
-    elif kind == fw.LEAST_ODD:
-        r = fw.least_odd(args.x)
-    else:
-        r = fw.even_repr(args.x)
+    r = _REPRS[args.kind](args.x)
     if args.format == "json":
         payload = {"x": args.x, "kind": r.kind, "terms": r.to_text(), "value": r.value()}
-        if kind == fw.EVEN:
+        if r.kind == fw.EVEN:
             payload["ternary"] = r.to_ternary()
         _emit(args, json.dumps(payload) + "\n")
     else:
-        tail = f"  [{r.to_ternary()}]" if kind == fw.EVEN else ""
+        tail = f"  [{r.to_ternary()}]" if r.kind == fw.EVEN else ""
         _emit(args, r.to_text() + tail + "\n")
     return 0
 
@@ -238,19 +242,12 @@ def cmd_table(args) -> int:
         top = 87 if args.max is None else args.max
         rows = []
         for h in [0, 1] + verify_mod.q_members(top):
-            if h == 0:
-                value = Dyadic(0)
-            elif h == 1:
-                value = Dyadic(1)
-            else:
-                value = nugget.xi_inverse(h)
+            value = _number_value(h)
+            moves = ""
             if h >= 2:
-                from .fibonacci import _largest_fib_at_most  # local: table column only
-                even = fw.fib(_largest_fib_at_most(h, parity=0))
-                odd = fw.fib(_largest_fib_at_most(h, parity=1))
-                moves = f"{even},{odd}"
-            else:
-                moves = ""
+                # the largest even- and odd-indexed Fibonacci numbers <= h
+                t = fw.zeckendorf(h).terms[0][0]
+                moves = f"{fw.fib(t - t % 2)},{fw.fib(t - 1 + t % 2)}"
             rows.append([str(h), str(value), value.binary(), moves])
         _emit_rows(args, ["heap", "value", "binary", "moves"], rows, "numbers")
     return 0

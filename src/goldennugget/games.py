@@ -143,9 +143,6 @@ class Universe:
     def leq(self, g: GameId, h: GameId) -> bool:
         return self.geq(h, g)
 
-    def equal(self, g: GameId, h: GameId) -> bool:
-        return self.geq(g, h) and self.geq(h, g)
-
     def outcome(self, g: GameId) -> Outcome:
         ge = self.geq(g, self.zero)
         le = self.geq(self.zero, g)
@@ -273,12 +270,6 @@ class Universe:
             )
         self._stops[g] = pair
         return pair
-
-    def left_stop(self, g: GameId) -> Dyadic:
-        return self.stops(g)[0]
-
-    def right_stop(self, g: GameId) -> Dyadic:
-        return self.stops(g)[1]
 
     # -- text format --------------------------------------------------------
 

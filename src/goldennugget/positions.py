@@ -35,12 +35,12 @@ class Position:
     def parse(cls, text: str) -> "Position":
         """Parse a literal like ``3b+20b+18r``."""
         heaps = []
-        for part in text.strip().split("+"):
+        for part in text.split("+"):
             part = part.strip()
-            if not part:
-                continue
-            color = part[-1]
-            heaps.append((color, int(part[:-1])))
+            try:
+                heaps.append((part[-1], int(part[:-1])))
+            except (IndexError, ValueError):
+                raise ValueError(f"bad heap literal {part!r} in {text!r}") from None
         return cls(tuple(heaps))
 
     def __str__(self) -> str:
@@ -183,7 +183,8 @@ def parse_spec(text: str) -> CSGameSpec:
 # -- values ---------------------------------------------------------------
 
 
-def _heap_value(u: Universe, spec: CSGameSpec, h: int, bound: int) -> GameId:
+def heap_value(u: Universe, spec: CSGameSpec, h: int, bound: int = nugget.ORACLE_BOUND) -> GameId:
+    """Canonical form of one blue heap of size h in the game ``spec``."""
     if isinstance(spec, GoldenSpec):
         return nugget.heap_canonical(u, h, bound=bound)
     return nugget.subtraction_canonical(u, spec.name, spec.left_ok, spec.right_ok, h, bound)
@@ -199,7 +200,7 @@ def position_value(
     spec = spec or GoldenSpec()
     total = u.zero
     for color, size in p.heaps:
-        value = _heap_value(u, spec, size, bound)
+        value = heap_value(u, spec, size, bound)
         if color == RED:
             value = u.negate(value)
         total = u.add(total, value)
@@ -274,11 +275,6 @@ def cs_outcomes(spec: CSGameSpec, max_h: int) -> list[Outcome]:
         else:
             out.append(Outcome.P)
     return out
-
-
-def odd_even_value(u: Universe, h: int, bound: int = nugget.ORACLE_BOUND) -> GameId:
-    """Canonical form of a heap in the odds-for-Left, evens-for-Right game."""
-    return _heap_value(u, ODD_EVEN, h, bound)
 
 
 @dataclass(frozen=True)

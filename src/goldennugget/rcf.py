@@ -19,7 +19,7 @@ def geq_inf(u: Universe, g: GameId, h: GameId) -> bool:
     done = cache.get(key)
     if done is None:
         diff = u.add(g, u.negate(h))
-        done = u.right_stop(diff).sign() >= 0
+        done = u.stops(diff)[1].sign() >= 0
         cache[key] = done
     return done
 
@@ -52,7 +52,7 @@ def reduced_canonical_form(u: Universe, g: GameId) -> GameId:
             # Inf-dominated options; after reduction, inf-equal options share an id
             ls = [a for a in ls if not any(b != a and geq_inf(u, b, a) for b in ls)]
             rs = [b for b in rs if not any(c2 != b and geq_inf(u, b, c2) for c2 in rs)]
-            replaced = _bypass_left(u, current, ls, rs) or _bypass_right(u, current, ls, rs)
+            replaced = _bypass(u, current, ls, rs, 0) or _bypass(u, current, ls, rs, 1)
             if not replaced and u.make_game(ls, rs) == current:
                 result = current
                 cache[result] = result
@@ -62,31 +62,19 @@ def reduced_canonical_form(u: Universe, g: GameId) -> GameId:
     return result
 
 
-def _is_number(u: Universe, ls: list[GameId], rs: list[GameId]) -> bool:
-    return u.as_number(u.make_game(ls, rs)) is not None
-
-
-def _bypass_left(u: Universe, game: GameId, ls: list[GameId], rs: list[GameId]) -> bool:
-    # left option Inf-reversible through a right option r1 with game >=I r1;
-    # the bypass is only valid while the replacement game is not a number
-    for pos, a in enumerate(ls):
-        for r1 in u.right_options(a):
-            if geq_inf(u, game, r1):
-                trial = sorted(set(ls[:pos] + ls[pos + 1:]) | set(u.left_options(r1)))
-                if _is_number(u, trial, rs):
-                    continue
-                ls[:] = trial
-                return True
-    return False
-
-
-def _bypass_right(u: Universe, game: GameId, ls: list[GameId], rs: list[GameId]) -> bool:
-    for pos, b in enumerate(rs):
-        for l1 in u.left_options(b):
-            if geq_inf(u, l1, game):
-                trial = sorted(set(rs[:pos] + rs[pos + 1:]) | set(u.right_options(l1)))
-                if _is_number(u, ls, trial):
-                    continue
-                rs[:] = trial
+def _bypass(u: Universe, game: GameId, ls: list[GameId], rs: list[GameId], side: int) -> bool:
+    # an option on `side` (0 Left, 1 Right) is Inf-reversible through one of
+    # its opposite-side options `back` with game >=I back (Left) or
+    # back >=I game (Right); the bypass is only valid while the replacement
+    # game is not a number
+    sides = [ls, rs]
+    options = sides[side]
+    for pos, a in enumerate(options):
+        for back in u.options(a)[1 - side]:
+            if not (geq_inf(u, game, back) if side == 0 else geq_inf(u, back, game)):
+                continue
+            sides[side] = sorted(set(options[:pos] + options[pos + 1:]) | set(u.options(back)[side]))
+            if u.as_number(u.make_game(*sides)) is None:
+                options[:] = sides[side]
                 return True
     return False

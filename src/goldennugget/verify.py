@@ -9,16 +9,15 @@ seeded generator so runs are reproducible.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 
 from . import fibonacci as fw
 from . import nugget
 from . import positions as pos
-from .dyadic import Dyadic, ONE
+from .dyadic import Dyadic, HALF, ONE
 from .games import Outcome, Universe
 from .rcf import eq_inf, geq_inf, reduced_canonical_form
-
-HALF = Dyadic(1, 1)
 
 
 @dataclass
@@ -26,6 +25,7 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
+    elapsed: float = 0.0  # seconds spent in a sweep; 0.0 for single checks
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -37,16 +37,18 @@ class Check:
 class Recorder:
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, bool(ok), detail))
+    def add(self, name: str, ok: bool, detail: str = "", elapsed: float = 0.0) -> None:
+        self.checks.append(Check(name, bool(ok), detail, elapsed))
 
     def sweep(self, name: str, pairs) -> None:
-        """Consume (ok, detail) tuples, recording the first failure."""
+        """Consume (ok, detail) tuples, recording the first failure and the time taken."""
+        start = time.perf_counter()
         for ok, detail in pairs:
             if not ok:
-                self.add(name, False, detail)
-                return
-        self.add(name, True)
+                break
+        else:
+            ok, detail = True, ""
+        self.add(name, ok, detail, time.perf_counter() - start)
 
 
 def _random_game(u: Universe, rng: random.Random, depth: int) -> int:
@@ -791,13 +793,13 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
 
     def odd_even_values():
         for h in range(31):
-            value = pos.odd_even_value(u, h, bound=31)
+            value = pos.heap_value(u, pos.ODD_EVEN, h, bound=31)
             if h % 2:
                 yield value == u.from_number(Dyadic(1, (h - 1) // 2)), f"h={h}"
             elif h == 0:
                 yield value == u.zero, "h=0"
             else:
-                prev = pos.odd_even_value(u, h - 2, bound=31)
+                prev = pos.heap_value(u, pos.ODD_EVEN, h - 2, bound=31)
                 built = u.canonical_form(u.make_game([u.from_number(ONE)], [u.zero, prev]))
                 yield value == built, f"h={h}"
 

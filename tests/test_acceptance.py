@@ -2,8 +2,12 @@
 
 Each test prints a single pass/fail line (visible with ``pytest -s``); the
 stated runtime envelopes are asserted where the criterion gives one.
+Criteria whose data appear in no verify suite (1, 2, 4, 10) are checked
+here; the others are a table over named checks of the verify suites, which
+run once per test session, so each invariant is defined and swept once.
 """
 
+import functools
 import time
 
 import pytest
@@ -61,8 +65,66 @@ NUMBER_TABLE = {
 }
 
 
+# criterion -> (description, [(suite, check name)], runtime envelope in s).
+# A check name of None stands for the whole suite, timed as one run. Each
+# criterion keeps a test of its own name below, so test ids stay stable.
+CRITERIA = {
+    3: ("partition table rows", [
+        ("nugget", "partition table rows reproduce"),
+        ("nugget", "classify matches forward enumeration, h <= 10^5"),
+    ], None),
+    5: ("full sweep: oracle vs classifier, h <= 60", [
+        ("nugget", "oracle vs classifier, h <= 60"),
+    ], 300),
+    6: ("number ladder anchors", [
+        ("nugget", "number ladders: oracle to n=3, xi to n=20"),
+    ], None),
+    7: ("parity of Zeckendorf tails orders the numbers, up to 10^4", [
+        ("nugget", "z1 parity of differences decides value order on Q up to 10^4"),
+    ], 60),
+    8: ("bit-map round trip and injectivity, up to 10^6", [
+        ("nugget", "xi round trip and injectivity on Q up to 10^6"),
+    ], 60),
+    9: ("number-theory invariant suites", [("fibonacci", None)], 120),
+    11: ("outcome sweeps, closed forms, and periodicity probes", [
+        ("positions", "Beatty games: heap in A -> L, in B -> N, zero -> P (h <= 2000)"),
+        ("positions", "odd/even game matches both closed forms, h <= 30"),
+        ("positions", "odd/even outcome sequence has period 2 from h=1"),
+        ("positions", "GoldenNugget outcome sequence shows no period up to 5000"),
+    ], None),
+    12: ("empirical probe: doubled anchors are literal switches", [
+        ("nugget", "probe (empirical only): <2F(2n+3)-2> is literally {1|s(n)}, n <= 3"),
+    ], None),
+}
+
+
+class SuiteRuns:
+    """Each verify suite run at most once, at its default bounds, with its wall time."""
+
+    def __init__(self):
+        self._runs = {}
+
+    def get(self, name):
+        if name not in self._runs:
+            start = time.perf_counter()
+            checks = verify.run_suite(name)
+            self._runs[name] = (checks, time.perf_counter() - start)
+        return self._runs[name]
+
+    def check(self, suite, name):
+        matches = [c for c in self.get(suite)[0] if c.name == name]
+        assert len(matches) == 1, f"{len(matches)} checks named {name!r} in suite {suite!r}"
+        return matches[0]
+
+
+@pytest.fixture(scope="session")
+def suites():
+    return SuiteRuns()
+
+
 def report(criterion, description):
     def decorate(fn):
+        @functools.wraps(fn)  # keeps the signature, so pytest still passes fixtures
         def wrapper(*args, **kwargs):
             try:
                 fn(*args, **kwargs)
@@ -71,7 +133,6 @@ def report(criterion, description):
                 raise
             print(f"criterion {criterion:2d} ({description}): PASS")
 
-        wrapper.__name__ = fn.__name__
         return wrapper
 
     return decorate
@@ -80,6 +141,27 @@ def report(criterion, description):
 def assert_suite(checks):
     bad = [c for c in checks if not c.ok]
     assert not bad, "; ".join(c.line() for c in bad)
+
+
+def check_criterion(criterion, suites):
+    """Assert a table row's checks pass and their time fits its envelope."""
+    description, names, envelope = CRITERIA[criterion]
+
+    @report(criterion, description)
+    def run():
+        elapsed = 0.0
+        for suite, name in names:
+            if name is None:
+                checks, seconds = suites.get(suite)
+            else:
+                check = suites.check(suite, name)
+                checks, seconds = [check], check.elapsed
+            assert_suite(checks)
+            elapsed += seconds
+        if envelope is not None:
+            assert elapsed < envelope, f"{elapsed:.1f}s over the {envelope}s envelope"
+
+    run()
 
 
 @report(1, "heap table values and reduced forms, h <= 20")
@@ -105,35 +187,8 @@ def test_criterion_2_sequences():
     assert time.time() - start < 1
 
 
-@report(3, "partition table rows")
-def test_criterion_3_partition_rows():
-    rows = {
-        "b": [2, 5, 7, 10, 13, 15, 18, 20, 23, 26, 28, 31, 34, 36],
-        "ab0": [0, 3, 8, 11, 16, 21, 24, 29, 32, 37, 42, 45, 50, 55, 58],
-        "ab-hat": [1, 4, 9, 12, 17, 22, 25, 30, 33, 38, 43, 46, 51, 56, 59],
-        "b2-hat": [6, 14, 19, 27, 35, 40, 48, 53, 61, 69, 74, 82, 90, 95],
-        "g1": [3, 8, 16, 21, 29, 37, 42, 50, 55, 63, 71, 76, 84, 92, 97],
-        "g2": [11, 24, 45, 58, 79, 100, 113, 134, 147, 168, 189, 202, 223, 244, 257],
-        "g3": [32, 66, 121, 155, 210, 265, 299, 354, 388, 443, 498, 532, 587, 642, 676],
-    }
-    assert [fw.b_seq(n) for n in range(1, 15)] == rows["b"]
-    assert [fw.compose_ab("AB", n) for n in range(15)] == rows["ab0"]
-    assert [fw.compose_ab("AB", n) + 1 for n in range(15)] == rows["ab-hat"]
-    assert [fw.compose_ab("BB", n) + 1 for n in range(1, 15)] == rows["b2-hat"]
-    for n in (1, 2, 3):
-        assert [nugget.g_heap(i, n) for i in range(15)] == rows[f"g{n}"]
-    # the classifier reproduces every listed cell
-    for value in rows["b"]:
-        assert nugget.classify(value).kind == "b"
-    for value in rows["ab-hat"]:
-        assert nugget.classify(value).kind == "ab-hat"
-    for value in rows["b2-hat"]:
-        assert nugget.classify(value).kind == "b2-hat"
-    for n in (1, 2, 3):
-        for i, value in enumerate(rows[f"g{n}"]):
-            got = nugget.classify(value)
-            want = ("g0", n, None) if i == 0 else ("g-switch", n, i)
-            assert (got.kind, got.n, got.i) == want
+def test_criterion_3_partition_rows(suites):
+    check_criterion(3, suites)
 
 
 @report(4, "number table: values, binary forms, optimal moves")
@@ -153,73 +208,24 @@ def test_criterion_4_numbers_table():
             assert (evens[-1], odds[-1]) == moves, f"moves h={h}"
 
 
-@report(5, "full sweep: oracle vs classifier, h <= 60")
-def test_criterion_5_oracle_classifier_sweep():
-    start = time.time()
-    u = Universe()
-    tree_sizes: dict[int, int] = {}
-
-    def tree_size(g):
-        if g not in tree_sizes:
-            left, right = u.options(g)
-            tree_sizes[g] = 1 + sum(tree_size(x) for x in left + right)
-        return tree_sizes[g]
-
-    report_rows = {}
-    for h in range(61):
-        g = nugget.heap_canonical(u, h)
-        fast = u.canonical_form(nugget.heap_rcf(h).to_game(u))
-        assert reduced_canonical_form(u, g) == fast, f"h={h}"
-        report_rows[h] = tree_size(g)
-    elapsed = time.time() - start
-    print("\n  canonical-form tree size by heap (sharing unfolded): "
-          + ", ".join(f"{h}:{report_rows[h]}" for h in range(0, 61, 6))
-          + f"; max {max(report_rows.values())} at h={max(report_rows, key=report_rows.get)}"
-          + f"; sweep took {elapsed:.2f}s")
-    assert elapsed < 300
+def test_criterion_5_oracle_classifier_sweep(suites):
+    check_criterion(5, suites)
 
 
-@report(6, "number ladder anchors")
-def test_criterion_6_number_anchors():
-    u = Universe()
-    for n in range(4):
-        hs = fw.fib(2 * n + 3) - 2
-        hq = fw.fib(2 * n + 4) - 2
-        assert u.as_number(nugget.heap_canonical(u, hs)) == nugget.s_val(n)
-        assert u.as_number(nugget.heap_canonical(u, hq)) == nugget.q_val(n)
-    for n in range(1, 21):
-        assert nugget.xi_inverse(fw.fib(2 * n + 3) - 2) == nugget.s_val(n)
-        assert nugget.xi_inverse(fw.fib(2 * n + 4) - 2) == nugget.q_val(n)
+def test_criterion_6_number_anchors(suites):
+    check_criterion(6, suites)
 
 
-@report(7, "parity of Zeckendorf tails orders the numbers, up to 10^4")
-def test_criterion_7_parity_sweep():
-    start = time.time()
-    members = verify.q_members(10**4)
-    values = {h: nugget.xi_inverse(h) for h in members}
-    for pos_i, h2 in enumerate(members):
-        for h1 in members[pos_i + 1:]:
-            assert (fw.z1(h1 - h2) % 2 == 1) == (values[h2] > values[h1]), (h1, h2)
-    assert time.time() - start < 60
+def test_criterion_7_parity_sweep(suites):
+    check_criterion(7, suites)
 
 
-@report(8, "bit-map round trip and injectivity, up to 10^6")
-def test_criterion_8_xi_round_trip():
-    start = time.time()
-    seen = {}
-    for h in verify.q_members(10**6):
-        d = nugget.xi_inverse(h)
-        assert nugget.xi(d) == h
-        assert d not in seen
-        seen[d] = h
-    assert time.time() - start < 60
+def test_criterion_8_xi_round_trip(suites):
+    check_criterion(8, suites)
 
 
-@report(9, "number-theory invariant suites")
-def test_criterion_9_fibonacci_suites():
-    start = time.time()
-    assert_suite(verify.run_suite("fibonacci"))
-    assert time.time() - start < 120
+def test_criterion_9_fibonacci_suites(suites):
+    check_criterion(9, suites)
 
 
 @report(10, "worked multi-heap positions")
@@ -240,42 +246,26 @@ def test_criterion_10_worked_positions():
     assert pos.position_outcome(u, second.replace(0, 4)) == Outcome.L
 
 
-@report(11, "outcome sweeps, closed forms, and periodicity probes")
-def test_criterion_11_outcome_level():
-    for spec in (pos.GoldenSpec(), pos.BeattySpec(2)):
-        outcomes = pos.cs_outcomes(spec, 2000)
-        for h in range(2001):
-            want = Outcome.P if h == 0 else (Outcome.L if spec.left_ok(h) else Outcome.N)
-            assert outcomes[h] == want, f"{spec.name} h={h}"
-    u = Universe()
-    for h in range(31):
-        value = pos.odd_even_value(u, h, bound=31)
-        if h == 0:
-            assert value == u.zero
-        elif h % 2:
-            assert value == u.from_number(Dyadic(1, (h - 1) // 2))
-        else:
-            prev = pos.odd_even_value(u, h - 2, bound=31)
-            assert value == u.canonical_form(
-                u.make_game([u.from_number(Dyadic(1))], [u.zero, prev])
-            )
-    probe = pos.periodicity_probe(pos.ODD_EVEN, 200)
-    assert (probe.preperiod, probe.period) == (1, 2)
-    assert not pos.periodicity_probe(pos.GoldenSpec(), 5000).found()
+def test_criterion_11_outcome_level(suites):
+    check_criterion(11, suites)
 
 
-@report(12, "empirical probe: doubled anchors are literal switches")
-def test_criterion_12_conjecture_probe():
-    u = Universe()
-    for n in (1, 2, 3):
-        h = 2 * fw.fib(2 * n + 3) - 2
-        got = nugget.heap_canonical(u, h, bound=66)
-        want = u.make_game([u.from_number(Dyadic(1))], [u.from_number(nugget.s_val(n))])
-        assert got == want, f"h={h}"
-    print("\n  note: empirical support at n=1..3 only, not a proof")
+def test_criterion_12_conjecture_probe(suites):
+    check_criterion(12, suites)
 
 
 @report(0, "full invariant suites (game-core, rcf, nugget, positions, cli)")
-def test_remaining_suites_all_green():
+def test_remaining_suites_all_green(suites):
     for name in ("game-core", "rcf", "nugget", "positions", "cli"):
-        assert_suite(verify.run_suite(name))
+        assert_suite(suites.get(name)[0])
+
+
+def test_criteria_name_existing_unique_checks(suites):
+    for name in verify.SUITES:
+        names = [c.name for c in suites.get(name)[0]]
+        assert len(names) == len(set(names)), f"duplicate check names in suite {name!r}"
+    for criterion, (_, checks, _) in CRITERIA.items():
+        for suite, name in checks:
+            assert suite in verify.SUITES, f"criterion {criterion}: no suite {suite!r}"
+            if name is not None:
+                suites.check(suite, name)

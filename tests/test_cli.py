@@ -1,13 +1,10 @@
 import json
-import pathlib
 
 import pytest
 
 from goldennugget import cli
 from goldennugget import positions as pos
 from goldennugget.games import Universe
-
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "rcf_table_20.txt"
 
 
 def run(argv):
@@ -56,12 +53,6 @@ def test_repr_command():
     assert out == "F6+F3+F1\n"
     out, code = run(["repr", "102", "--kind", "even"])
     assert out == "F10+F8+F8+F4+F2+F2  [1020001020]\n"
-
-
-def test_golden_rcf_table():
-    out, code = run(["table", "--kind", "rcf", "--max", "20"])
-    assert code == 0
-    assert out == GOLDEN.read_text()
 
 
 def test_sequences_table():
@@ -115,6 +106,19 @@ def test_usage_errors_exit_2():
     assert code == 2
     out, code = run([])
     assert code == 2
+    for literal in ("3b+", "b"):  # bad heap literals (see test_position_parse_and_text)
+        out, code = run(["solve", literal])
+        assert (code, out) == (2, ""), literal
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    for argv in (["verify", "--suite", "rcf", "--bound", "-1"],
+                 ["table", "--kind", "values", "--max", "-1"],
+                 ["outcomes", "--game", "oddeven", "--max", "-1"],
+                 ["probe-period", "--game", "oddeven", "--max", "-1"]):
+        out, code = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert "nonnegative integer required" in capsys.readouterr().err
 
 
 def test_negative_oracle_bound_is_a_usage_error(capsys):
@@ -162,9 +166,13 @@ def test_json_game_round_trip():
 
 
 def test_seed_changes_nothing_deterministic():
-    a, _ = run(["table", "--kind", "numbers", "--max", "87"])
-    b, _ = run(["table", "--kind", "numbers", "--max", "87", "--seed", "9"])
-    assert a == b
+    a, code = run(["table", "--kind", "numbers", "--max", "87"])
+    assert code == 0
+    # --seed belongs to verify alone, --oracle-bound to value, table and solve
+    assert run(["table", "--kind", "numbers", "--max", "87", "--seed", "9"]) == ("", 2)
+    assert run(["rcf", "5", "--oracle-bound", "10"]) == ("", 2)
+    assert run(["verify", "--suite", "cli", "--seed", "3"])[1] == 0
+    assert run(["table", "--kind", "values", "--max", "5", "--oracle-bound", "5"])[1] == 0
     # known number-heap anchors inside the numbers table
     lines = dict()
     for line in a.strip().split("\n")[1:]:

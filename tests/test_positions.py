@@ -19,6 +19,10 @@ def test_position_parse_and_text():
     assert str(p) == "3b+20b+18r"
     with pytest.raises(ValueError):
         pos.Position.parse("3x")
+    # empty parts and missing sizes are rejected, naming the bad literal
+    for text, part in (("3b+", "''"), ("+3b", "''"), ("3b++4r", "''"), ("b", "'b'"), ("3b+rr", "'rr'")):
+        with pytest.raises(ValueError, match=f"bad heap literal {part}"):
+            pos.Position.parse(text)
 
 
 def test_position_value_examples(u):
@@ -102,11 +106,11 @@ def test_cs_outcomes_examples():
 
 
 def test_odd_even_values(u):
-    assert pos.odd_even_value(u, 1) == u.from_number(Dyadic(1))
-    assert pos.odd_even_value(u, 2) == u.parse("{1|0}")
-    assert pos.odd_even_value(u, 5) == u.from_number(Dyadic(1, 2))
+    assert pos.heap_value(u, pos.ODD_EVEN, 1) == u.from_number(Dyadic(1))
+    assert pos.heap_value(u, pos.ODD_EVEN, 2) == u.parse("{1|0}")
+    assert pos.heap_value(u, pos.ODD_EVEN, 5) == u.from_number(Dyadic(1, 2))
     golden = pathlib.Path(__file__).parent / "golden" / "oddeven_values_30.txt"
-    got = "".join(f"{h}\t{u.to_text(pos.odd_even_value(u, h, bound=30))}\n" for h in range(31))
+    got = "".join(f"{h}\t{u.to_text(pos.heap_value(u, pos.ODD_EVEN, h, bound=30))}\n" for h in range(31))
     assert got == golden.read_text()
 
 
