@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -43,7 +44,9 @@ def _oracle() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: each parse starts from fresh defaults."""
     common = _common()
     with_oracle = [common, _oracle()]
     parser = argparse.ArgumentParser(

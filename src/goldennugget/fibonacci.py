@@ -9,8 +9,10 @@ indices are provided:
   even index between any two doubled ones.
 
 The Wythoff sequences A(n) = floor(n*phi) and B(n) = A(n) + n are computed
-exactly from the representations (no floating point): A(n) is the left
-shift of the least-odd representation of n.
+exactly in integers, with no floating point: A(n) = (n + isqrt(5 n^2)) // 2,
+and each inverse is one isqrt followed by a confirming forward step.  That
+A(n) is also the left shift of the least-odd representation of n, and
+B(n) the double left shift, is a property the tests check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from math import isqrt
 
 ZECKENDORF = "zeckendorf"
 LEAST_ODD = "least-odd"
@@ -36,17 +38,14 @@ def fib(n: int) -> int:
     return _fib_cache[n + 1]
 
 
-def _largest_fib_at_most(x: int, parity: int | None = None) -> int:
-    """Largest index i >= 2 with fib(i) <= x, optionally of fixed parity."""
+def _fibs_past(x: int) -> list[int]:
+    """The table of Fibonacci numbers, grown until its last entry exceeds x.
+
+    Entry j is F(j - 1); from entry 3 on (F2, F3, ...) it strictly increases.
+    """
     while _fib_cache[-1] <= x:
         _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-    # _fib_cache[3:] holds F2, F3, ... strictly increasing; entry j is F(j-1)
-    i = bisect_right(_fib_cache, x, lo=3) - 2
-    if parity is not None and i % 2 != parity:
-        i -= 1
-        if i < 2:
-            raise ValueError(f"no Fibonacci number of the required parity <= {x}")
-    return i
+    return _fib_cache
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,12 @@ class FibRepr:
                 raise ValueError("even: odd index present")
             if any(m not in (1, 2) for m in mults.values()):
                 raise ValueError("even: multiplicity above 2")
-            twos = sorted(i for i, m in mults.items() if m == 2)
-            for a, b in zip(twos, twos[1:]):
-                if all(mults.get(j, 0) for j in range(a + 2, b, 2)):
+            # doubled indices a > b with every even index between them used
+            # have exactly (a - b) / 2 - 1 terms between them
+            doubled = [(i, pos) for pos, (i, m) in enumerate(sorted(mults.items(), reverse=True))
+                       if m == 2]
+            for (a, pa), (b, pb) in zip(doubled, doubled[1:]):
+                if a - b == 2 * (pb - pa):
                     raise ValueError("even: no unused index between doubled terms")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
@@ -151,29 +153,32 @@ def parse_repr(text: str, kind: str = ZECKENDORF) -> FibRepr:
     return r
 
 
-def zeckendorf(x: int) -> FibRepr:
-    """Greedy Zeckendorf representation of a positive integer."""
+def _zeckendorf_indices(x: int) -> list[int]:
+    """Indices of the greedy Zeckendorf representation of x, largest first."""
     if x <= 0:
         raise ValueError(f"positive integer required, got {x}")
-    counts: dict[int, int] = {}
+    fibs = _fibs_past(x)
+    j = bisect_right(fibs, x, lo=3) - 1
+    out = []
     rest = x
-    while rest:
-        i = _largest_fib_at_most(rest)
-        counts[i] = 1
-        rest -= fib(i)
-    return FibRepr.from_counts(ZECKENDORF, counts)
+    while True:
+        rest -= fibs[j]
+        out.append(j - 1)
+        if not rest:
+            return out
+        j -= 2  # rest < F(i - 1), so the next term is at most F(i - 2)
+        while fibs[j] > rest:
+            j -= 1
+
+
+def zeckendorf(x: int) -> FibRepr:
+    """Greedy Zeckendorf representation of a positive integer."""
+    return FibRepr.from_counts(ZECKENDORF, dict.fromkeys(_zeckendorf_indices(x), 1))
 
 
 def z1(x: int) -> int:
     """Least index in the Zeckendorf representation of x."""
-    if x <= 0:
-        raise ValueError(f"positive integer required, got {x}")
-    rest = x
-    i = 2
-    while rest:
-        i = _largest_fib_at_most(rest)
-        rest -= fib(i)
-    return i
+    return _zeckendorf_indices(x)[-1]
 
 
 def least_odd(x: int) -> FibRepr:
@@ -197,12 +202,16 @@ def even_repr(x: int) -> FibRepr:
     """Even representation by greedy descent on even-indexed Fibonacci numbers."""
     if x <= 0:
         raise ValueError(f"positive integer required, got {x}")
-    counts: Counter[int] = Counter()
+    fibs = _fibs_past(x)
+    j = bisect_right(fibs, x, lo=3) - 1
+    j -= 1 - j % 2  # entry j is F(j - 1): odd entries hold the even indices
+    counts: dict[int, int] = {}
     rest = x
     while rest:
-        i = _largest_fib_at_most(rest, parity=0)
-        counts[i] += 1
-        rest -= fib(i)
+        while fibs[j] > rest:
+            j -= 2
+        counts[j - 1] = counts.get(j - 1, 0) + 1
+        rest -= fibs[j]
     r = FibRepr.from_counts(EVEN, counts)
     r.validate()
     return r
@@ -243,14 +252,11 @@ def ze_transform(r: FibRepr) -> FibRepr:
 # -- Wythoff sequences ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def a_seq(n: int) -> int:
-    """A(n) = floor(n*phi), computed as the left shift of least_odd(n)."""
+    """A(n) = floor(n*phi) = floor((n + sqrt(5 n^2)) / 2), exactly."""
     if n < 0:
         raise ValueError(f"nonnegative integer required, got {n}")
-    if n == 0:
-        return 0
-    return sum(fib(i + 1) for i in least_odd(n).indices())
+    return (n + isqrt(5 * n * n)) // 2
 
 
 def b_seq(n: int) -> int:
@@ -271,19 +277,23 @@ def in_b(x: int) -> bool:
 
 
 def a_inverse(y: int) -> int:
-    """The n with A(n) = y, for y in the A sequence (right shift of Z(y))."""
-    r = zeckendorf(y)
-    if r.least_index() % 2:
+    """The n with A(n) = y, for y in the A sequence: n = floor(y/phi) + 1."""
+    if y <= 0:
+        raise ValueError(f"positive integer required, got {y}")
+    n = (isqrt(5 * y * y) - y) // 2 + 1
+    if a_seq(n) != y:
         raise ValueError(f"{y} is not in the A sequence")
-    return sum(fib(i - 1) for i in r.indices())
+    return n
 
 
 def b_inverse(y: int) -> int:
-    """The n with B(n) = y, for y in the B sequence (double right shift of Z(y))."""
-    r = zeckendorf(y)
-    if r.least_index() % 2 == 0:
+    """The n with B(n) = y, for y in the B sequence: n = round(y/phi^2)."""
+    if y <= 0:
+        raise ValueError(f"positive integer required, got {y}")
+    n = (3 * y - isqrt(5 * y * y)) // 2
+    if b_seq(n) != y:
         raise ValueError(f"{y} is not in the B sequence")
-    return sum(fib(i - 2) for i in r.indices())
+    return n
 
 
 def compose_ab(word: str, n: int) -> int:

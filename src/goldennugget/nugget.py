@@ -69,22 +69,25 @@ class HeapClass:
 
 
 def classify(h: int) -> HeapClass:
-    """Total, single-valued classification of a heap size."""
+    """Total, single-valued classification of a heap size.
+
+    Every test is membership in a composition of A and B.  A heap outside B
+    is in A, and it is in AA exactly when h + 1 is in B, because
+    A(A(n)) = B(n) - 1; otherwise it is in AB.
+    """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
     if h == 0:
         return HeapClass("zero")
     if h == 1:
         return HeapClass("ab-hat")
-    least = fw.z1(h)
-    if least % 2 == 1:
+    if _invert("B", h) is not None:
         return HeapClass("b")
-    if least >= 4:
+    if _invert("B", h + 1) is None:
         return _classify_in_ab(h)
-    prev = fw.z1(h - 1)
-    if prev % 2 == 0 and prev >= 4:
+    if _invert("AB", h - 1) is not None:
         return HeapClass("ab-hat")
-    if prev % 2 == 1 and prev >= 5:
+    if _invert("BB", h - 1) is not None:
         return HeapClass("b2-hat")
     raise AssertionError(f"heap {h} escaped the partition")
 
@@ -96,19 +99,23 @@ def _classify_in_ab(h: int) -> HeapClass:
         rest = h - fw.fib(2 * n + 3) + 2
         if rest == 0:
             return HeapClass("g0", n=n)
-        i = _strip_b(rest, n + 1)
+        i = _invert("B" * (n + 1), rest)
         if i is not None:
             return HeapClass("g-switch", n=n, i=i)
         n += 1
     raise AssertionError(f"heap {h} in AB matched no G(n)")
 
 
-def _strip_b(y: int, times: int) -> int | None:
-    """Invert B applied `times` times, or None if y is not in B^times."""
-    for _ in range(times):
-        if y <= 0 or fw.z1(y) % 2 == 0:
-            return None
-        y = fw.b_inverse(y)
+def _invert(word: str, y: int) -> int | None:
+    """The m >= 1 with ``fw.compose_ab(word, m) == y``, or None if there is none.
+
+    One exact inverse of A or B per letter, outermost letter first.
+    """
+    try:
+        for letter in word:
+            y = fw.a_inverse(y) if letter == "A" else fw.b_inverse(y)
+    except ValueError:
+        return None
     return y
 
 
@@ -153,36 +160,34 @@ def xi(d: Dyadic) -> int:
 def xi_inverse(h: int) -> Dyadic:
     """The unique dyadic in [1/2, 1) whose xi image is h, for h in Q.
 
-    The bits are emitted greedily against the even representation of h:
-    a bit is 1 exactly when the current even index still needs a copy.
+    The bits are read off the even representation of h, one even index at
+    a time from F2 up, in one pass over its terms.  F2 gives the digit 0.
+    Each later index gives 0 when it is unused; when it is used once, 1
+    after a 1 and 10 after a 0; when it is used twice, 11 after a 0.
+    Trailing zeros are dropped.  This is the inverse of ``xi``, whose digit
+    after a 01 pair repeats the index of the 1.
     """
     if not (h > 0 and is_in_q(h)):
         raise ValueError(f"heap {h} is not a positive number heap")
-    remaining = fw.even_repr(h).counts()
-    if remaining.get(2):
+    terms = fw.even_repr(h).terms[::-1]  # (index, multiplicity), index ascending
+    if terms[0][0] == 2:
         raise AssertionError(f"even representation of {h} contains F2")
-    if remaining.get(4, 0) < 1:
+    if terms[0][0] != 4:
         raise AssertionError(f"even representation of {h} lacks the F4 anchor")
-    bits = [0, 1]
-    e = 4
-    remaining[4] -= 1
-    while any(remaining.values()):
-        if (bits[-2], bits[-1]) == (0, 1):
-            nxt = e
+    digits = ["0"]
+    e = 2
+    for index, mult in terms:
+        if index > e + 2:
+            digits.append("0" * ((index - e) // 2 - 1))
+        if digits[-1][-1] == "0":
+            digits.append("10" if mult == 1 else "11")
+        elif mult == 1:
+            digits.append("1")
         else:
-            nxt = e + 2
-            if remaining.get(e):
-                raise AssertionError(f"level F{e} left unsatisfied for heap {h}")
-        if remaining.get(nxt):
-            bits.append(1)
-            remaining[nxt] -= 1
-        else:
-            bits.append(0)
-        e = nxt
-    num = 0
-    for bit in bits:
-        num = (num << 1) | bit
-    return Dyadic(num, len(bits) - 1)
+            raise AssertionError(f"level F{index} left unsatisfied for heap {h}")
+        e = index
+    bits = "".join(digits).rstrip("0")
+    return Dyadic(int(bits, 2), len(bits) - 1)
 
 
 def zeck_parity_check(d: Dyadic, g: Dyadic) -> bool:

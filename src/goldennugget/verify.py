@@ -558,7 +558,8 @@ def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
             yield False, f"forward enumeration covered {len(kinds)} of {limit + 1}"
             return
         for h in range(limit + 1):
-            yield str(nugget.classify(h)) == kinds[h], f"h={h}: {nugget.classify(h)} vs {kinds[h]}"
+            got = str(nugget.classify(h))
+            yield got == kinds[h], f"h={h}: {got} vs {kinds[h]}"
 
     rec.sweep("classify matches forward enumeration, h <= 10^5", partition())
 

@@ -18,6 +18,14 @@ def test_rcf_command():
     assert out == "{1|0}\n"
 
 
+def test_parser_is_built_once_and_each_parse_starts_fresh():
+    assert cli.build_parser() is cli.build_parser()
+    out, code = run(["rcf", "19", "--format", "json"])
+    assert code == 0 and json.loads(out)
+    out, code = run(["rcf", "19"])
+    assert code == 0 and out == "11/16\n"
+
+
 def test_value_command():
     out, code = run(["value", "5"])
     assert code == 0 and out == "{1,{1|0}|0}\n"

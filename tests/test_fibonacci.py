@@ -111,6 +111,79 @@ def test_membership_and_inverses():
         fw.b_inverse(1)
 
 
+_F = [fw.fib(i) for i in range(2000)]  # up to 10^417
+
+
+def _expected(least, shift1, shift2):
+    """z1, in_a, in_b, a_inverse and b_inverse as Z(x) defines them, from its
+    least index and its right shifts by one index (A) and by two (B)."""
+    in_a = least % 2 == 0
+    return least, in_a, not in_a, shift1 if in_a else None, None if in_a else shift2
+
+
+def _inverse_or_none(inverse, x):
+    try:
+        return inverse(x)
+    except ValueError as exc:
+        assert "is not in the" in str(exc)
+        return None
+
+
+def _fast(x):
+    return (fw.z1(x), fw.in_a(x), fw.in_b(x),
+            _inverse_or_none(fw.a_inverse, x), _inverse_or_none(fw.b_inverse, x))
+
+
+def _check_identities(x):
+    indices = fw.zeckendorf(x).indices()
+    shift1, shift2 = sum(_F[i - 1] for i in indices), sum(_F[i - 2] for i in indices)
+    assert _fast(x) == _expected(indices[-1], shift1, shift2), x
+    # A is the left shift of the least-odd representation, B the double shift
+    lo = fw.least_odd(x).indices()
+    assert fw.a_seq(x) == sum(_F[i + 1] for i in lo), x
+    assert fw.b_seq(x) == sum(_F[i + 2] for i in lo), x
+
+
+def test_identities_match_definitions_up_to_2e5():
+    # Z(x) is F(t) followed by Z(x - F(t)), for the largest F(t) <= x
+    top = 2 * 10**5
+    least, shift1, shift2 = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+    t = 2
+    for x in range(1, top + 1):
+        if _F[t + 1] <= x:
+            t += 1
+        r = x - _F[t]
+        least[x] = least[r] if r else t
+        shift1[x] = _F[t - 1] + shift1[r]
+        shift2[x] = _F[t - 2] + shift2[r]
+        assert _fast(x) == _expected(least[x], shift1[x], shift2[x]), x
+        if least[x] % 2 == 0:
+            assert fw.a_seq(shift1[x]) == x, x
+        else:
+            assert fw.b_seq(shift2[x]) == x, x
+
+
+def test_identities_match_definitions_near_fibonacci_numbers():
+    for k in range(1500):
+        for d in range(-2, 3):
+            if fw.fib(k) + d > 0:
+                _check_identities(fw.fib(k) + d)
+
+
+@given(st.integers(1, 10**400))
+def test_identities_match_definitions_on_big_integers(x):
+    _check_identities(x)
+
+
+def test_inverses_reject_nonpositive_input():
+    for y in (0, -1, -2, -10**400):
+        for fn in (fw.a_inverse, fw.b_inverse, fw.z1):
+            with pytest.raises(ValueError, match="positive integer required"):
+                fn(y)
+    with pytest.raises(ValueError, match="nonnegative integer required"):
+        fw.a_seq(-1)
+
+
 def test_morphism_powers():
     assert fw.morphism_power(3) == "abaab"
     assert fw.morphism_power(4) == fw.morphism_power(3) + fw.morphism_power(2)
@@ -148,6 +221,18 @@ def test_repr_text_round_trip():
     e = fw.even_repr(117)
     assert fw.parse_repr(e.to_ternary(), fw.EVEN).terms == e.terms
     assert fw.parse_repr(e.to_text(), fw.EVEN).terms == e.terms
+
+
+@given(st.dictionaries(st.integers(1, 40).map(lambda k: 2 * k), st.integers(1, 2), min_size=1))
+def test_even_gap_rule_matches_its_definition(counts):
+    twos = sorted(i for i, m in counts.items() if m == 2)
+    valid = not any(all(counts.get(j) for j in range(a + 2, b, 2)) for a, b in zip(twos, twos[1:]))
+    r = fw.FibRepr.from_counts(fw.EVEN, counts)
+    if valid:
+        r.validate()
+    else:
+        with pytest.raises(ValueError, match="no unused index"):
+            r.validate()
 
 
 def test_even_gap_rule_rejected():

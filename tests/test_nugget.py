@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldennugget import fibonacci as fw
 from goldennugget import nugget
@@ -114,6 +115,22 @@ def test_classification_round_trip_through_g_heap():
             got = nugget.classify(nugget.g_heap(i, n))
             assert (got.kind, got.n, got.i) == ("g-switch", n, i)
         assert nugget.classify(nugget.g_heap(0, n)) == nugget.HeapClass("g0", n=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**60), st.integers(1, 200))
+def test_classify_far_beyond_the_forward_enumeration(m, n):
+    assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
+    assert nugget.classify(fw.b_seq(m)).kind == "b"
+    assert nugget.classify(fw.compose_ab("AB", m) + 1).kind == "ab-hat"
+    assert nugget.classify(fw.compose_ab("BB", m) + 1).kind == "b2-hat"
+
+
+def test_classify_every_g_row_far_beyond_the_forward_enumeration():
+    for n in range(1, 201):
+        assert nugget.classify(fw.fib(2 * n + 3) - 2) == nugget.HeapClass("g0", n=n)
+        for m in (1, 2, 10**60):
+            assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
 
 
 def test_deep_oracle_classifier_agreement():
