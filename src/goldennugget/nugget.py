@@ -190,6 +190,28 @@ def xi_inverse(h: int) -> Dyadic:
     return Dyadic(int(bits, 2), len(bits) - 1)
 
 
+def number_value(h: int) -> Dyadic:
+    """Value of a number heap: 0 and 1 directly, the rest by the bit map."""
+    return Dyadic(h) if h in (0, 1) else xi_inverse(h)  # raises for heaps outside Q
+
+
+def q_members(limit: int) -> list[int]:
+    """All positive heaps in Q = (B^2 + 1) union {F(2n+3) - 2} up to limit."""
+    out = set()
+    n = 1
+    while True:
+        v = fw.compose_ab("BB", n) + 1
+        if v > limit:
+            break
+        out.add(v)
+        n += 1
+    n = 1
+    while fw.fib(2 * n + 3) - 2 <= limit:
+        out.add(fw.fib(2 * n + 3) - 2)
+        n += 1
+    return sorted(out)
+
+
 def zeck_parity_check(d: Dyadic, g: Dyadic) -> bool:
     """Whether z1(xi(d) - xi(g)) is odd; equivalent to g > d on number heaps."""
     half = Dyadic(1, 1)

@@ -161,21 +161,28 @@ class ExplicitSpec(CSGameSpec):
 def parse_spec(text: str) -> CSGameSpec:
     """Parse a spec literal: golden, oddeven, beatty:sqrt2, mod:3:L=1,2, explicit:L={...}."""
     text = text.strip()
+
+    def whole(field: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"bad game spec {text!r}") from None
+
     if text == "golden":
         return GoldenSpec()
     if text == "oddeven":
         return ODD_EVEN
     if text.startswith("beatty:sqrt"):
-        return BeattySpec(int(text[len("beatty:sqrt"):]))
+        return BeattySpec(whole(text[len("beatty:sqrt"):]))
     if text.startswith("mod:"):
-        _, modulus, left = text.split(":", 2)
-        if not left.startswith("L="):
-            raise ValueError(f"bad modular spec {text!r}")
-        residues = frozenset(int(r) for r in left[2:].split(",") if r)
-        return ModularSpec(int(modulus), residues)
+        parts = text.split(":", 2)
+        if len(parts) < 3 or not parts[2].startswith("L="):
+            raise ValueError(f"bad game spec {text!r}")
+        residues = frozenset(whole(r) for r in parts[2][2:].split(",") if r)
+        return ModularSpec(whole(parts[1]), residues)
     if text.startswith("explicit:L={") and text.endswith("}"):
         body = text[len("explicit:L={"):-1]
-        members = frozenset(int(k) for k in body.split(",") if k.strip())
+        members = frozenset(whole(k) for k in body.split(",") if k.strip())
         return ExplicitSpec(members, max(members, default=1))
     raise ValueError(f"unknown game spec {text!r}")
 

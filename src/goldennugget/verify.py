@@ -507,21 +507,15 @@ def _not1_second():
 # -- nugget ----------------------------------------------------------------------
 
 
-def q_members(limit: int) -> list[int]:
-    """All positive heaps in Q = (B^2 + 1) union {F(2n+3) - 2} up to limit."""
-    out = set()
-    n = 1
-    while True:
-        v = fw.compose_ab("BB", n) + 1
-        if v > limit:
-            break
-        out.add(v)
-        n += 1
-    n = 1
-    while fw.fib(2 * n + 3) - 2 <= limit:
-        out.add(fw.fib(2 * n + 3) - 2)
-        n += 1
-    return sorted(out)
+def oracle_classifier_agreement(u: Universe, bound: int):
+    """(ok, detail) for every heap up to bound: the oracle's reduced form is
+    the classifier's, and a number heap's value is its bit-map value."""
+    for h in range(bound + 1):
+        g = nugget.heap_canonical(u, h, bound=bound)
+        fast = u.canonical_form(nugget.heap_rcf(h).to_game(u))
+        yield reduced_canonical_form(u, g) == fast, f"h={h}"
+        if h and nugget.is_in_q(h):
+            yield u.as_number(g) == nugget.xi_inverse(h), f"number h={h}"
 
 
 def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
@@ -588,7 +582,7 @@ def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
 
     def xi_round_trip():
         seen: dict[Dyadic, int] = {}
-        for h in q_members(10**6):
+        for h in nugget.q_members(10**6):
             d = nugget.xi_inverse(h)
             if nugget.xi(d) != h:
                 yield False, f"xi(xi_inverse({h})) != {h}"
@@ -601,15 +595,7 @@ def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
 
     rec.sweep("xi round trip and injectivity on Q up to 10^6", xi_round_trip())
 
-    def oracle_agreement():
-        for h in range(bound + 1):
-            g = nugget.heap_canonical(u, h, bound=bound)
-            fast = u.canonical_form(nugget.heap_rcf(h).to_game(u))
-            yield reduced_canonical_form(u, g) == fast, f"h={h}"
-            if h and nugget.is_in_q(h):
-                yield u.as_number(g) == nugget.xi_inverse(h), f"number h={h}"
-
-    rec.sweep(f"oracle vs classifier, h <= {bound}", oracle_agreement())
+    rec.sweep(f"oracle vs classifier, h <= {bound}", oracle_classifier_agreement(u, bound))
 
     def anchors():
         for n in range(4):
@@ -624,14 +610,14 @@ def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
     rec.sweep("number ladders: oracle to n=3, xi to n=20", anchors())
 
     def number_range():
-        for h in q_members(10**5):
+        for h in nugget.q_members(10**5):
             d = nugget.xi_inverse(h)
             yield HALF <= d < ONE, f"h={h} -> {d}"
 
     rec.sweep("number heaps evaluate inside [1/2, 1), h <= 10^5", number_range())
 
     def parity_vs_order():
-        members = q_members(10**4)
+        members = nugget.q_members(10**4)
         values = {h: nugget.xi_inverse(h) for h in members}
         for pos_i, h2 in enumerate(members):
             for h1 in members[pos_i + 1:]:

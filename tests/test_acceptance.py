@@ -16,7 +16,6 @@ from goldennugget import fibonacci as fw
 from goldennugget import nugget
 from goldennugget import positions as pos
 from goldennugget import verify
-from goldennugget.dyadic import Dyadic
 from goldennugget.games import Outcome, Universe
 from goldennugget.rcf import reduced_canonical_form
 
@@ -194,12 +193,7 @@ def test_criterion_3_partition_rows(suites):
 @report(4, "number table: values, binary forms, optimal moves")
 def test_criterion_4_numbers_table():
     for h, (value_text, binary, moves) in NUMBER_TABLE.items():
-        if h == 0:
-            value = Dyadic(0)
-        elif h == 1:
-            value = Dyadic(1)
-        else:
-            value = nugget.xi_inverse(h)
+        value = nugget.number_value(h)
         assert str(value) == value_text, f"value h={h}"
         assert value.binary() == binary, f"binary h={h}"
         if moves is not None:

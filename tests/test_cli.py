@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from goldennugget import cli
+from goldennugget import cli, nugget
 from goldennugget import positions as pos
 from goldennugget.games import Universe
 
@@ -16,6 +17,13 @@ def test_rcf_command():
     assert code == 0 and out == "11/16\n"
     out, code = run(["rcf", "20"])
     assert out == "{1|0}\n"
+
+
+def test_rcf_text_of_a_deep_number_heap():
+    # text never builds the game tree of s(1000), about 2,000 frames deep
+    h = nugget.g_heap(1, 1000)
+    out, code = run(["rcf", str(h)])
+    assert (code, out) == (0, f"{{1|{nugget.s_val(1000)}}}\n")
 
 
 def test_parser_is_built_once_and_each_parse_starts_fresh():
@@ -159,6 +167,58 @@ def test_out_file(tmp_path):
                      "--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_text().startswith("h,rcf")
+
+
+def test_bad_output_path_is_a_usage_error(tmp_path, capsys):
+    out, code = run(["rcf", "5", "--out", str(tmp_path / "no-such-dir" / "x")])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_game_specs_name_the_literal(capsys):
+    for literal in ("mod:3", "beatty:sqrt", "mod:x:L=1", "explicit:L={a}"):
+        with pytest.raises(ValueError, match=f"^bad game spec '{re.escape(literal)}'$"):
+            pos.parse_spec(literal)
+        out, code = run(["outcomes", "--game", literal, "--max", "5"])
+        assert (code, out) == (2, ""), literal
+        assert capsys.readouterr().err == f"error: bad game spec '{literal}'\n"
+
+
+# The formats each command takes; every other --format value is a usage error.
+FORMATS = {
+    ("value", "5"): ("text", "json"),
+    ("rcf", "19"): ("text", "json"),
+    ("classify", "45"): ("text", "json"),
+    ("number", "116"): ("text", "json"),
+    ("xi", "0.110011"): ("text", "json"),
+    ("repr", "117", "--kind", "even"): ("text", "json"),
+    ("table", "--kind", "rcf", "--max", "5"): ("text", "json", "csv"),
+    ("solve", "20b+17r"): ("text", "json"),
+    ("outcomes", "--game", "oddeven", "--max", "6"): ("text", "json", "csv"),
+    ("probe-period", "--game", "oddeven", "--max", "50"): ("text", "json"),
+    ("verify", "--suite", "cli"): (),
+}
+
+
+@pytest.mark.parametrize("argv", list(FORMATS), ids=lambda argv: argv[0])
+def test_format_matrix(argv, tmp_path):
+    argv = list(argv)
+    default, code = run(argv)
+    assert code == 0 and default
+    for fmt in ("text", "json", "csv"):
+        out, code = run(argv + ["--format", fmt])
+        if fmt not in FORMATS[tuple(argv)]:
+            assert (code, out) == (2, ""), fmt
+            continue
+        assert code == 0 and out, fmt
+        if fmt == "text":
+            assert out == default
+        target = tmp_path / fmt
+        assert run(argv + ["--format", fmt, "--out", str(target)]) == ("", 0)
+        assert target.read_text() == out
+    target = tmp_path / "default"
+    assert run(argv + ["--out", str(target)]) == ("", 0)
+    assert target.read_text() == default
 
 
 def test_json_game_round_trip():

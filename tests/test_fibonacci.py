@@ -91,26 +91,6 @@ def test_wythoff_sequences_match_mex_recurrence():
         assert fw.b_seq(n) == b[n]
 
 
-def test_sequence_table_rows():
-    assert [fw.a_seq(n) for n in range(15)] == [0, 1, 3, 4, 6, 8, 9, 11, 12, 14, 16, 17, 19, 21, 22]
-    assert [fw.b_seq(n) for n in range(15)] == [0, 2, 5, 7, 10, 13, 15, 18, 20, 23, 26, 28, 31, 34, 36]
-    assert fw.a_seq(5) == 8  # A(F5) = F6
-
-
-def test_membership_and_inverses():
-    assert fw.in_a(9) and fw.in_b(13)
-    for x in range(1, 3000):
-        assert fw.in_a(x) != fw.in_b(x)
-        if fw.in_a(x):
-            assert fw.a_seq(fw.a_inverse(x)) == x
-        else:
-            assert fw.b_seq(fw.b_inverse(x)) == x
-    with pytest.raises(ValueError):
-        fw.a_inverse(2)
-    with pytest.raises(ValueError):
-        fw.b_inverse(1)
-
-
 _F = [fw.fib(i) for i in range(2000)]  # up to 10^417
 
 

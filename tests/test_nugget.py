@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldennugget import fibonacci as fw
-from goldennugget import nugget
+from goldennugget import nugget, verify
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import ResourceLimitError, Universe
 from goldennugget.positions import GoldenSpec
@@ -109,14 +109,6 @@ def test_heap_values_from_oracle():
     assert u.as_number(nugget.heap_canonical(u, 2)) is None
 
 
-def test_classification_round_trip_through_g_heap():
-    for n in range(1, 5):
-        for i in range(1, 60):
-            got = nugget.classify(nugget.g_heap(i, n))
-            assert (got.kind, got.n, got.i) == ("g-switch", n, i)
-        assert nugget.classify(nugget.g_heap(0, n)) == nugget.HeapClass("g0", n=n)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**60), st.integers(1, 200))
 def test_classify_far_beyond_the_forward_enumeration(m, n):
@@ -136,12 +128,5 @@ def test_classify_every_g_row_far_beyond_the_forward_enumeration():
 def test_deep_oracle_classifier_agreement():
     # well beyond the acceptance bound: the classifier and the full search
     # stay in lockstep, and every number heap evaluates via the bit map
-    from goldennugget.rcf import reduced_canonical_form
-
-    u = Universe()
-    for h in range(1001):
-        g = nugget.heap_canonical(u, h, bound=1000)
-        fast = u.canonical_form(nugget.heap_rcf(h).to_game(u))
-        assert reduced_canonical_form(u, g) == fast, f"h={h}"
-        if h and nugget.is_in_q(h):
-            assert u.as_number(g) == nugget.xi_inverse(h), f"h={h}"
+    failures = [detail for ok, detail in verify.oracle_classifier_agreement(Universe(), 1000) if not ok]
+    assert not failures

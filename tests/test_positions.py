@@ -34,25 +34,6 @@ def test_position_value_examples(u):
         pos.position_value(u, pos.Position.parse("99b"))
 
 
-def test_worked_positions(u):
-    first = pos.Position.parse("3b+20b+18r")
-    assert pos.position_outcome(u, first) == Outcome.L
-    move = pos.winning_move(u, first, "L")
-    assert move is not None
-    after = first.replace(move.index, first.heaps[move.index][1] - move.amount)
-    assert pos.position_outcome(u, after) in (Outcome.L, Outcome.P)
-
-    second = pos.Position.parse("20b+17r")
-    assert pos.position_outcome(u, second) == Outcome.N
-    right = pos.winning_move(u, second, "R")
-    assert right == pos.Move(0, 20)  # removing the whole 20 heap
-    left = pos.winning_move(u, second, "L")
-    assert left is not None
-    # removing 16 from the 20 heap leaves a strictly positive position
-    explicit = second.replace(0, 4)
-    assert pos.position_outcome(u, explicit) == Outcome.L
-
-
 def test_pure_infinitesimal_position(u):
     # a blue 20 against a red 18: reduced forms cancel, value is infinitesimal
     p = pos.Position.parse("20b+18r")
