@@ -98,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommand handlers --------------------------------------------------------
-# Each returns a Table, or a pair (JSON payload, text); main renders it.  A
-# payload may be a zero-argument callable, called only when JSON is asked for.
+# Each returns a Table, or a pair (JSON payload, text); main renders it.
 
 
 def cmd_value(args):
@@ -110,8 +109,8 @@ def cmd_value(args):
 
 def cmd_rcf(args):
     value = nugget.heap_rcf(args.heap)
-    u = Universe()  # a lazy payload: building the game tree of s(n) takes about 2n frames
-    return lambda: {"h": args.heap, "kind": value.kind, "game": u.to_json_obj(value.to_game(u))}, str(value)
+    game = str(value) if value.kind == "number" else {"L": ["1"], "R": [str(value.value)]}
+    return {"h": args.heap, "kind": value.kind, "game": game}, str(value)
 
 
 def cmd_classify(args):
@@ -183,7 +182,7 @@ def cmd_table(args) -> Table:
         ]
         return Table(header, rows, "partition")
     rows = []  # numbers
-    for h in [0, 1] + nugget.q_members(top):
+    for h in [0, 1][: top + 1] + nugget.q_members(top):
         value = nugget.number_value(h)
         moves = ""
         if h >= 2:
@@ -250,7 +249,7 @@ def _render(result, fmt: str) -> str:
     payload, text = result
     if fmt != "json":
         return text + "\n"
-    return json.dumps(payload() if callable(payload) else payload) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def main(argv=None) -> int:

@@ -193,9 +193,7 @@ def least_odd(x: int) -> FibRepr:
         del counts[least]
         for j in range(1, least, 2):
             counts[j] = 1
-    r = FibRepr.from_counts(LEAST_ODD, counts)
-    r.validate()
-    return r
+    return FibRepr.from_counts(LEAST_ODD, counts)
 
 
 def even_repr(x: int) -> FibRepr:
@@ -212,9 +210,7 @@ def even_repr(x: int) -> FibRepr:
             j -= 2
         counts[j - 1] = counts.get(j - 1, 0) + 1
         rest -= fibs[j]
-    r = FibRepr.from_counts(EVEN, counts)
-    r.validate()
-    return r
+    return FibRepr.from_counts(EVEN, counts)
 
 
 def ze_transform(r: FibRepr) -> FibRepr:
@@ -244,9 +240,7 @@ def ze_transform(r: FibRepr) -> FibRepr:
             counts[n - 2] += 1
         counts = +counts  # drop zeros
         assert sum(m * fib(i) for i, m in counts.items()) == target
-    out = FibRepr.from_counts(EVEN, counts)
-    out.validate()
-    return out
+    return FibRepr.from_counts(EVEN, counts)
 
 
 # -- Wythoff sequences ---------------------------------------------------

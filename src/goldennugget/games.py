@@ -312,13 +312,7 @@ class Universe:
         # undelimited subgame (its commas belong to it), not an option list
         if _split_rank(text) is not None:
             return [self._parse_body(text)]
-        return [self._parse_option(p) for p in _split_commas(text)]
-
-    def _parse_option(self, text: str) -> GameId:
-        game, rest = self._parse_game(text.strip())
-        if rest.strip():
-            raise ValueError(f"trailing option input {rest!r}")
-        return game
+        return [self.parse(p) for p in _split_commas(text)]
 
     # -- JSON form ------------------------------------------------------------
 

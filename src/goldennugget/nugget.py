@@ -127,13 +127,6 @@ def is_in_q(h: int) -> bool:
 # -- the xi bijection ------------------------------------------------------
 
 
-def _bit_expansion(d: Dyadic) -> list[int]:
-    # digits d0.d1...dk of a dyadic in [1/2, 1]
-    whole = d.num >> d.exp
-    frac = d.num - (whole << d.exp)
-    return [whole] + [(frac >> (d.exp - 1 - j)) & 1 for j in range(d.exp)]
-
-
 def xi(d: Dyadic) -> int:
     """Map a binary fraction in [1/2, 1] to its heap size.
 
@@ -143,16 +136,15 @@ def xi(d: Dyadic) -> int:
     """
     if not (Dyadic(1, 1) <= d <= ONE):
         raise ValueError(f"xi needs a dyadic in [1/2, 1], got {d}")
-    bits = _bit_expansion(d)
+    bits = d.binary().replace(".", "")  # digits d0 d1 ... dk
     total = 0
     e = 2
     for i, bit in enumerate(bits):
         if i == 1:
             e = 4
-        elif i >= 2:
-            if (bits[i - 2], bits[i - 1]) != (0, 1):
-                e += 2
-        if bit:
+        elif i >= 2 and bits[i - 2:i] != "01":
+            e += 2
+        if bit == "1":
             total += fw.fib(e)
     return total
 
@@ -210,19 +202,6 @@ def q_members(limit: int) -> list[int]:
         out.add(fw.fib(2 * n + 3) - 2)
         n += 1
     return sorted(out)
-
-
-def zeck_parity_check(d: Dyadic, g: Dyadic) -> bool:
-    """Whether z1(xi(d) - xi(g)) is odd; equivalent to g > d on number heaps."""
-    half = Dyadic(1, 1)
-    if not (half <= d < ONE and half <= g < ONE):
-        raise ValueError("both arguments must lie in [1/2, 1)")
-    hd, hg = xi(d), xi(g)
-    if not (is_in_q(hd) and is_in_q(hg)):
-        raise ValueError("xi images must be number heaps")
-    if hd <= hg:
-        raise ValueError(f"need xi(d) > xi(g), got {hd} <= {hg}")
-    return fw.z1(hd - hg) % 2 == 1
 
 
 # -- values ------------------------------------------------------------------

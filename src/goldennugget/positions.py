@@ -34,14 +34,14 @@ class Position:
     @classmethod
     def parse(cls, text: str) -> "Position":
         """Parse a literal like ``3b+20b+18r``."""
-        heaps = []
+        heaps: tuple[tuple[str, int], ...] = ()
         for part in text.split("+"):
             part = part.strip()
             try:
-                heaps.append((part[-1], int(part[:-1])))
+                heaps += cls(((part[-1], int(part[:-1])),)).heaps
             except (IndexError, ValueError):
                 raise ValueError(f"bad heap literal {part!r} in {text!r}") from None
-        return cls(tuple(heaps))
+        return cls(heaps)
 
     def __str__(self) -> str:
         return "+".join(f"{size}{color}" for color, size in self.heaps)
@@ -192,8 +192,6 @@ def parse_spec(text: str) -> CSGameSpec:
 
 def heap_value(u: Universe, spec: CSGameSpec, h: int, bound: int = nugget.ORACLE_BOUND) -> GameId:
     """Canonical form of one blue heap of size h in the game ``spec``."""
-    if isinstance(spec, GoldenSpec):
-        return nugget.heap_canonical(u, h, bound=bound)
     return nugget.subtraction_canonical(u, spec.name, spec.left_ok, spec.right_ok, h, bound)
 
 

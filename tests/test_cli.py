@@ -2,8 +2,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldennugget import cli, nugget
+from goldennugget import fibonacci as fw
 from goldennugget import positions as pos
 from goldennugget.games import Universe
 
@@ -24,6 +26,27 @@ def test_rcf_text_of_a_deep_number_heap():
     h = nugget.g_heap(1, 1000)
     out, code = run(["rcf", str(h)])
     assert (code, out) == (0, f"{{1|{nugget.s_val(1000)}}}\n")
+
+
+def test_rcf_json_matches_the_game_route():
+    heaps = list(range(301))
+    for n in [*range(1, 400, 9), 400]:
+        heaps += [fw.fib(2 * n + 3) - 2, nugget.g_heap(1, n), nugget.g_heap(7, n)]
+    for h in heaps:
+        out, code = run(["rcf", str(h), "--format", "json"])
+        u = Universe()
+        assert code == 0 and json.loads(out)["game"] == u.to_json_obj(nugget.heap_rcf(h).to_game(u)), h
+
+
+def test_rcf_json_of_deep_heaps():
+    # the game trees of these forms are too deep to build: about 2,000 frames
+    s = str(nugget.s_val(1000))
+    out, code = run(["rcf", str(nugget.g_heap(1, 1000)), "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["kind"] == "switch" and payload["game"] == {"L": ["1"], "R": [s]}
+    out, code = run(["rcf", str(fw.fib(2003) - 2), "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["kind"] == "number" and payload["game"] == s
 
 
 def test_parser_is_built_once_and_each_parse_starts_fresh():
@@ -117,14 +140,23 @@ def test_verify_command():
     assert code == 2
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     out, code = run(["no-such-command"])
     assert code == 2
     out, code = run([])
     assert code == 2
-    for literal in ("3b+", "b"):  # bad heap literals (see test_position_parse_and_text)
-        out, code = run(["solve", literal])
+    # bad heap literals (see test_position_parse_and_text)
+    for literal, part in (("3b+", ""), ("b", "b"), ("3x", "3x"), ("-3b", "-3b"), ("3b+4y", "4y")):
+        capsys.readouterr()
+        out, code = run(["solve", "--", literal])
         assert (code, out) == (2, ""), literal
+        assert capsys.readouterr().err == f"error: bad heap literal '{part}' in '{literal}'\n"
+
+
+def test_numbers_table_stops_at_max():
+    header = "heap\tvalue\tbinary\tmoves\n"
+    assert run(["table", "--kind", "numbers", "--max", "0"]) == (header + "0\t0\t0\t\n", 0)
+    assert run(["table", "--kind", "numbers", "--max", "1"]) == (header + "0\t0\t0\t\n1\t1\t1\t\n", 0)
 
 
 def test_negative_counts_are_usage_errors(capsys):
@@ -249,3 +281,46 @@ def test_seed_changes_nothing_deterministic():
     assert lines[19] == ("11/16", "0.1011", "8,13")
     assert lines[87] == ("85/128", "0.1010101", "55,34")
     assert lines[0] == ("0", "0", "")
+
+
+# -- fuzz over the command grammar: every input ends with an exit code --------
+
+_JUNK = st.sampled_from(["", "x", "12x", "-5", "1e3", "0x10", "3.5", " 7", "1_000"])
+_HEAPS = st.one_of(
+    st.integers(0, 300),
+    st.integers(0, 10**400),
+    st.builds(nugget.g_heap, st.integers(0, 9), st.integers(1, 1000)),
+    st.integers(0, 1000).map(lambda n: fw.fib(2 * n + 3) - 2),
+).map(str) | _JUNK
+_FRACTIONS = st.text("01", min_size=1, max_size=400).map(lambda bits: "0." + bits) | st.sampled_from(
+    ["1", "1.0", "0.2", "0.", ".1", "10.1", "-0.1", "x"])
+_POSITIONS = st.lists(st.builds("{}{}".format, st.integers(0, 32), st.sampled_from("br")),
+                      min_size=1, max_size=3).map("+".join) | st.sampled_from(
+    ["", "+", "3b+", "b", "3x", "-3b", "3b+4y", "3b++4r", "3 b"])
+_SPECS = st.sampled_from([
+    "golden", "oddeven", "beatty:sqrt2", "beatty:sqrt3", "mod:3:L=1", "mod:3:L=1,2", "explicit:L={1,2}",
+    "explicit:L={}", "beatty:sqrt4", "beatty:sqrt", "mod:3", "mod:1:L=0", "mod:x:L=1", "mod:3:L=5",
+    "explicit:L={a}", "explicit:L={0}", "bogus"])
+_BOUND = st.integers(0, 30).map(lambda b: ["--oracle-bound", str(b)])
+_MAX = st.integers(0, 300).map(str)
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["rcf", "classify", "number"]), _HEAPS).map(list),
+    st.builds(lambda h, b: ["value", h, *b], _HEAPS, _BOUND),
+    st.builds(lambda f: ["xi", f], _FRACTIONS),
+    st.builds(lambda x, k: ["repr", x, "--kind", k], _HEAPS, st.sampled_from(["zeck", "lo", "even", "odd"])),
+    st.builds(lambda k, m, b: ["table", "--kind", k, "--max", m, *b],
+              st.sampled_from(["values", "rcf", "partition", "numbers", "sequences", "nope"]), _MAX, _BOUND),
+    st.builds(lambda p, g, m, b: ["solve", p, "--game", g, *m, *b], _POSITIONS, _SPECS,
+              st.sampled_from([[], ["--mover", "L"], ["--mover", "R"], ["--mover", "X"]]), _BOUND),
+    st.builds(lambda c, g, m: [c, "--game", g, "--max", m], st.sampled_from(["outcomes", "probe-period"]),
+              _SPECS, _MAX),
+    st.just(["verify", "--suite", "cli"]),
+)
+_FORMATS = st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMMANDS, _FORMATS)
+def test_every_cli_input_ends_with_an_exit_code(argv, fmt):
+    out, code = run(argv + fmt)
+    assert code in (0, 1, 2, 3), argv + fmt

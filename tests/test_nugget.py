@@ -72,17 +72,6 @@ def test_xi_inverse_examples():
         nugget.xi_inverse(2)  # heap 2 is in B, not a number heap
 
 
-def test_zeck_parity_examples():
-    d, g = Dyadic.from_binary("0.11"), Dyadic.from_binary("0.1")
-    assert not nugget.zeck_parity_check(d, g)  # s = 3 = F4, and g < d
-    d, g = Dyadic.from_binary("0.101"), Dyadic.from_binary("0.11")
-    assert nugget.zeck_parity_check(d, g)  # s = 5 = F5, and g = 3/4 > 5/8
-    d, g = Dyadic.from_binary("0.1011"), Dyadic.from_binary("0.101")
-    assert not nugget.zeck_parity_check(d, g)  # s = 8 = F6, and g < d
-    with pytest.raises(ValueError):
-        nugget.zeck_parity_check(Dyadic.from_binary("0.1"), Dyadic.from_binary("0.11"))
-
-
 def test_heap_rcf_examples():
     assert str(nugget.heap_rcf(20)) == "{1|0}"
     assert str(nugget.heap_rcf(16)) == "{1|1/2}"
