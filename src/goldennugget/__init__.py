@@ -8,78 +8,4 @@ a linear-time heap classifier with a brute-force oracle to check it, and a
 multi-heap position solver.
 """
 
-from .dyadic import Dyadic, simplest_number
-from .fibonacci import (
-    FibRepr,
-    a_seq,
-    b_seq,
-    even_repr,
-    fib,
-    in_a,
-    in_b,
-    least_odd,
-    morphism_power,
-    weighted_count,
-    word_prefix,
-    ze_transform,
-    zeckendorf,
-)
-from .games import GameId, MalformedGameError, Outcome, ResourceLimitError, Universe
-from .nugget import (
-    HeapClass,
-    RcfValue,
-    classify,
-    g_heap,
-    heap_canonical,
-    heap_rcf,
-    q_val,
-    s_val,
-    xi,
-    xi_inverse,
-)
-from .positions import Position, cs_outcomes, parse_spec, position_outcome, position_value, winning_move
-from .rcf import eq_inf, geq_inf, reduced_canonical_form
-
-__all__ = [
-    "Dyadic",
-    "FibRepr",
-    "GameId",
-    "HeapClass",
-    "MalformedGameError",
-    "Outcome",
-    "Position",
-    "RcfValue",
-    "ResourceLimitError",
-    "Universe",
-    "a_seq",
-    "b_seq",
-    "classify",
-    "cs_outcomes",
-    "eq_inf",
-    "even_repr",
-    "fib",
-    "g_heap",
-    "geq_inf",
-    "heap_canonical",
-    "heap_rcf",
-    "in_a",
-    "in_b",
-    "least_odd",
-    "morphism_power",
-    "parse_spec",
-    "position_outcome",
-    "position_value",
-    "q_val",
-    "reduced_canonical_form",
-    "s_val",
-    "simplest_number",
-    "weighted_count",
-    "winning_move",
-    "word_prefix",
-    "xi",
-    "xi_inverse",
-    "ze_transform",
-    "zeckendorf",
-]
-
 __version__ = "0.1.0"

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(verify_mod.SUITES)) + ", all")
     p.add_argument("--bound", type=_nonnegative_int, default=None)
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--seed", type=int, metavar="N")
 
     return parser
 
@@ -226,12 +226,17 @@ def cmd_probe_period(args):
 
 
 def cmd_verify(args):
-    """Text only; the payload is the number of failing checks, which sets the exit code."""
-    names = sorted(verify_mod.SUITES) if args.suite == "all" else [args.suite]
+    """Text only; the payload is the number of failing checks, which sets the exit code.
+    A flag goes only to the suites that take it; a single suite refuses the others."""
+    given = {flag: value for flag, value in (("bound", args.bound), ("seed", args.seed)) if value is not None}
     failed = 0
     lines = []
-    for name in names:
-        for check in verify_mod.run_suite(name, bound=args.bound, seed=args.seed):
+    for name in sorted(verify_mod.SUITES) if args.suite == "all" else [args.suite]:
+        takes = verify_mod.suite_parameters(name)
+        ignored = [f"--{flag}" for flag in given if flag not in takes]
+        if ignored and args.suite != "all":
+            raise ValueError(f"suite {name!r} takes no {' or '.join(ignored)}")
+        for check in verify_mod.run_suite(name, **{flag: given[flag] for flag in given.keys() & takes}):
             lines.append(f"[{name}] {check.line()}")
             failed += 0 if check.ok else 1
     lines.append(f"{'OK' if not failed else 'FAILED'}: {failed} failing check(s)")

@@ -17,6 +17,7 @@ The numbers are read off bitwise from the even Fibonacci representation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from . import fibonacci as fw
 from .dyadic import Dyadic, ZERO, ONE
@@ -120,8 +121,16 @@ def _invert(word: str, y: int) -> int | None:
 
 
 def is_in_q(h: int) -> bool:
-    """Membership in the number heaps: B^2 + 1 together with F(2n+3) - 2."""
-    return classify(h).kind in ("b2-hat", "g0")
+    """Membership in the number heaps: B^2 + 1 together with F(2n+3) - 2.
+
+    h + 2 is an odd-indexed Fibonacci number exactly when 5(h+2)^2 - 4 is a
+    square, since 5F(n)^2 - 4 = L(n)^2 for odd n (Gessel's test); h >= 3
+    drops F(1) - 2 and F(3) - 2.
+    """
+    if _invert("BB", h - 1) is not None:
+        return True
+    square = 5 * (h + 2) ** 2 - 4
+    return h >= 3 and isqrt(square) ** 2 == square
 
 
 # -- the xi bijection ------------------------------------------------------
@@ -243,32 +252,61 @@ def heap_rcf(h: int) -> RcfValue:
     return RcfValue("switch", s_val(cls.n))
 
 
+# -- the oracle ----------------------------------------------------------------
+
+
+class CSGameSpec:
+    """A complementary subtraction game: two sets partitioning the positives."""
+
+    name = "cs"
+
+    def left_ok(self, k: int) -> bool:
+        raise NotImplementedError
+
+    def right_ok(self, k: int) -> bool:
+        return not self.left_ok(k)
+
+
+class GoldenSpec(CSGameSpec):
+    """GoldenNugget: Left removes members of A, Right members of B."""
+
+    name = "golden"
+
+    def left_ok(self, k: int) -> bool:
+        return fw.in_a(k)
+
+    def right_ok(self, k: int) -> bool:
+        return fw.in_b(k)
+
+
+GOLDEN = GoldenSpec()
+
+
 def heap_canonical(u: Universe, h: int, bound: int = ORACLE_BOUND) -> GameId:
     """Brute-force oracle: the canonical form of a heap, by full expansion.
 
     Memoized bottom-up on the universe; guarded by `bound` because canonical
     forms grow quickly with the heap size.
     """
-    return subtraction_canonical(u, "golden", fw.in_a, fw.in_b, h, bound)
+    return subtraction_canonical(u, GOLDEN, h, bound)
 
 
-def subtraction_canonical(u: Universe, name: str, left_ok, right_ok, h: int, bound: int) -> GameId:
-    """The oracle for any subtraction game named `name`: heap h's canonical form.
+def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> GameId:
+    """The oracle for any subtraction game: heap h's canonical form in ``spec``.
 
-    Left may remove k when ``left_ok(k)``, Right when ``right_ok(k)``.  The
-    forms of heaps 0, 1, 2, ... and both subtraction lists grow together in
-    the universe, so each predicate runs once per k; a k whose predicate
-    raised is not recorded.
+    The forms of heaps 0, 1, 2, ... and both subtraction lists grow together
+    in the universe under the spec's name, so each predicate runs once per k;
+    a k whose predicate raised is not recorded.
     """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
     if h > bound:
         raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
-    memo = u.cache(f"heaps:{name}")
-    left, right = u.cache("subtractions").setdefault(name, ([], []))
+    memo = u.cache(f"heaps:{spec.name}")
+    left, right = u.cache("subtractions").setdefault(spec.name, ([], []))
     for k in range(len(memo), h + 1):
         if k:
-            to_left, to_right = left_ok(k), right_ok(k)
+            to_left, to_right = spec.left_ok(k), spec.right_ok(k)
             left += [k] * to_left
             right += [k] * to_right
         memo[k] = u.canonical_form(u.make_game([memo[k - s] for s in left], [memo[k - s] for s in right]))

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import fibonacci as fw
 from . import nugget
 from .games import GameId, Outcome, Universe
+from .nugget import GOLDEN, CSGameSpec, GoldenSpec  # noqa: F401  (perfbench builds positions.GoldenSpec())
 
 BLUE = "b"
 RED = "r"
@@ -69,25 +69,6 @@ class Move:
 
 
 # -- game specs -------------------------------------------------------------
-
-
-class CSGameSpec:
-    """A complementary subtraction game: two sets partitioning the positives."""
-
-    name = "cs"
-
-    def left_ok(self, k: int) -> bool:
-        raise NotImplementedError
-
-    def right_ok(self, k: int) -> bool:
-        return not self.left_ok(k)
-
-
-class GoldenSpec(CSGameSpec):
-    name = "golden"
-
-    def left_ok(self, k: int) -> bool:
-        return fw.in_a(k)
 
 
 @dataclass(frozen=True)
@@ -169,7 +150,7 @@ def parse_spec(text: str) -> CSGameSpec:
             raise ValueError(f"bad game spec {text!r}") from None
 
     if text == "golden":
-        return GoldenSpec()
+        return GOLDEN
     if text == "oddeven":
         return ODD_EVEN
     if text.startswith("beatty:sqrt"):
@@ -190,22 +171,16 @@ def parse_spec(text: str) -> CSGameSpec:
 # -- values ---------------------------------------------------------------
 
 
-def heap_value(u: Universe, spec: CSGameSpec, h: int, bound: int = nugget.ORACLE_BOUND) -> GameId:
-    """Canonical form of one blue heap of size h in the game ``spec``."""
-    return nugget.subtraction_canonical(u, spec.name, spec.left_ok, spec.right_ok, h, bound)
-
-
 def position_value(
     u: Universe,
     p: Position,
-    spec: CSGameSpec | None = None,
+    spec: CSGameSpec = GOLDEN,
     bound: int = nugget.ORACLE_BOUND,
 ) -> GameId:
     """Canonical form of the disjunctive sum (red heaps count negatively)."""
-    spec = spec or GoldenSpec()
     total = u.zero
     for color, size in p.heaps:
-        value = heap_value(u, spec, size, bound)
+        value = nugget.subtraction_canonical(u, spec, size, bound)
         if color == RED:
             value = u.negate(value)
         total = u.add(total, value)
@@ -215,7 +190,7 @@ def position_value(
 def position_outcome(
     u: Universe,
     p: Position,
-    spec: CSGameSpec | None = None,
+    spec: CSGameSpec = GOLDEN,
     bound: int = nugget.ORACLE_BOUND,
 ) -> Outcome:
     return u.outcome(position_value(u, p, spec, bound))
@@ -239,14 +214,13 @@ def winning_move(
     u: Universe,
     p: Position,
     mover: str,
-    spec: CSGameSpec | None = None,
+    spec: CSGameSpec = GOLDEN,
     bound: int = nugget.ORACLE_BOUND,
 ) -> Move | None:
     """Some move after which the mover wins going second, or None.
 
     Deterministic tie-break: smallest heap index, then smallest amount.
     """
-    spec = spec or GoldenSpec()
     wins = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
     for move in legal_moves(spec, p, mover):
         after = p.replace(move.index, p.heaps[move.index][1] - move.amount)

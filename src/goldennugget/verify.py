@@ -8,6 +8,7 @@ seeded generator so runs are reproducible.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -224,7 +225,7 @@ def _a_bitmap(limit: int) -> bytearray:
         n += 1
 
 
-def suite_fibonacci(bound: int = 0, seed: int = 0) -> list[Check]:
+def suite_fibonacci(seed: int = 0) -> list[Check]:
     rec = Recorder()
     rng = random.Random(seed)
 
@@ -518,7 +519,7 @@ def oracle_classifier_agreement(u: Universe, bound: int):
             yield u.as_number(g) == nugget.xi_inverse(h), f"number h={h}"
 
 
-def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
+def suite_nugget(bound: int = 60) -> list[Check]:
     rec = Recorder()
     u = Universe()
 
@@ -676,7 +677,7 @@ def suite_nugget(bound: int = 60, seed: int = 0) -> list[Check]:
 # -- positions ----------------------------------------------------------------------
 
 
-def brute_position_outcome(spec: pos.CSGameSpec, p: pos.Position) -> Outcome:
+def brute_position_outcome(spec: nugget.CSGameSpec, p: pos.Position) -> Outcome:
     """Direct alternating-play search, independent of game values."""
     memo: dict[tuple, bool] = {}
 
@@ -715,7 +716,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
     rec = Recorder()
     u = Universe()
     rng = random.Random(seed)
-    spec = pos.GoldenSpec()
+    spec = nugget.GOLDEN
 
     samples = []
     for _ in range(40):
@@ -770,7 +771,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
     rec.sweep("winning moves win; absent means all moves lose (heaps <= 15)", move_soundness())
 
     def beatty_outcomes():
-        for game_spec in (pos.GoldenSpec(), pos.BeattySpec(2)):
+        for game_spec in (nugget.GOLDEN, pos.BeattySpec(2)):
             outcomes = pos.cs_outcomes(game_spec, 2000)
             for h in range(2001):
                 want = Outcome.P if h == 0 else (Outcome.L if game_spec.left_ok(h) else Outcome.N)
@@ -780,13 +781,13 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
 
     def odd_even_values():
         for h in range(31):
-            value = pos.heap_value(u, pos.ODD_EVEN, h, bound=31)
+            value = nugget.subtraction_canonical(u, pos.ODD_EVEN, h, 31)
             if h % 2:
                 yield value == u.from_number(Dyadic(1, (h - 1) // 2)), f"h={h}"
             elif h == 0:
                 yield value == u.zero, "h=0"
             else:
-                prev = pos.heap_value(u, pos.ODD_EVEN, h - 2, bound=31)
+                prev = nugget.subtraction_canonical(u, pos.ODD_EVEN, h - 2, 31)
                 built = u.canonical_form(u.make_game([u.from_number(ONE)], [u.zero, prev]))
                 yield value == built, f"h={h}"
 
@@ -795,7 +796,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
     probe = pos.periodicity_probe(pos.ODD_EVEN, 200)
     rec.add("odd/even outcome sequence has period 2 from h=1",
             probe.period == 2 and probe.preperiod == 1, str(probe))
-    probe = pos.periodicity_probe(pos.GoldenSpec(), 5000)
+    probe = pos.periodicity_probe(nugget.GOLDEN, 5000)
     rec.add("GoldenNugget outcome sequence shows no period up to 5000",
             not probe.found(), str(probe))
     return rec.checks
@@ -828,7 +829,7 @@ GOLDEN_RCF_TABLE = """h\trcf
 """
 
 
-def suite_cli(bound: int = 60, seed: int = 0) -> list[Check]:
+def suite_cli() -> list[Check]:
     # imported lazily so the engine modules stay CLI-free
     import json
 
@@ -877,10 +878,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, bound: int | None = None, seed: int = 0) -> list[Check]:
+def suite_parameters(name: str) -> set[str]:
+    """The parameters a suite takes, of ``bound`` and ``seed``, from its signature."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    kwargs = {"seed": seed}
-    if bound is not None:
-        kwargs["bound"] = bound
-    return SUITES[name](**kwargs)
+    return set(inspect.signature(SUITES[name]).parameters)
+
+
+def run_suite(name: str, **params: int) -> list[Check]:
+    suite_parameters(name)  # rejects an unknown name
+    return SUITES[name](**params)

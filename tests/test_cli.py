@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +16,17 @@ from goldennugget.games import Universe
 
 def run(argv):
     return cli.capture(argv)
+
+
+def test_package_import_loads_no_submodule():
+    # the modules are the API: importing the package binds only __version__
+    src = Path(cli.__file__).parents[1]
+    code = ("import sys, goldennugget; "
+            "print(sorted(m for m in sys.modules if m.startswith('goldennugget.')), "
+            "sorted(n for n in vars(goldennugget) if not n.startswith('__')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[] []\n"
 
 
 def test_rcf_command():
@@ -153,6 +168,16 @@ def test_usage_errors_exit_2(capsys):
         assert capsys.readouterr().err == f"error: bad heap literal '{part}' in '{literal}'\n"
 
 
+def test_verify_flags_a_suite_does_not_take_are_usage_errors(capsys):
+    for suite, flags, named in (("fibonacci", ["--bound", "5"], "--bound"),
+                                ("cli", ["--seed", "3"], "--seed"),
+                                ("nugget", ["--seed", "3"], "--seed"),
+                                ("cli", ["--bound", "5", "--seed", "3"], "--bound or --seed")):
+        capsys.readouterr()
+        assert run(["verify", "--suite", suite, *flags]) == ("", 2), (suite, flags)
+        assert capsys.readouterr().err == f"error: suite {suite!r} takes no {named}\n"
+
+
 def test_numbers_table_stops_at_max():
     header = "heap\tvalue\tbinary\tmoves\n"
     assert run(["table", "--kind", "numbers", "--max", "0"]) == (header + "0\t0\t0\t\n", 0)
@@ -271,7 +296,7 @@ def test_seed_changes_nothing_deterministic():
     # --seed belongs to verify alone, --oracle-bound to value, table and solve
     assert run(["table", "--kind", "numbers", "--max", "87", "--seed", "9"]) == ("", 2)
     assert run(["rcf", "5", "--oracle-bound", "10"]) == ("", 2)
-    assert run(["verify", "--suite", "cli", "--seed", "3"])[1] == 0
+    assert run(["verify", "--suite", "game-core", "--seed", "3"])[1] == 0
     assert run(["table", "--kind", "values", "--max", "5", "--oracle-bound", "5"])[1] == 0
     # known number-heap anchors inside the numbers table
     lines = dict()

@@ -5,7 +5,7 @@ from goldennugget import fibonacci as fw
 from goldennugget import nugget, verify
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import ResourceLimitError, Universe
-from goldennugget.positions import GoldenSpec
+from goldennugget.nugget import GoldenSpec
 
 
 def test_subtraction_predicates():
@@ -16,6 +16,7 @@ def test_subtraction_predicates():
     assert sorted(left_moves) == [1, 2, 4]
     assert sorted(right_moves) == [0, 3]
     assert not golden.left_ok(7)
+    assert all(golden.right_ok(k) == fw.in_b(k) for k in range(1, 200))
     with pytest.raises(ValueError):
         golden.left_ok(0)
 
@@ -112,6 +113,30 @@ def test_classify_every_g_row_far_beyond_the_forward_enumeration():
         assert nugget.classify(fw.fib(2 * n + 3) - 2) == nugget.HeapClass("g0", n=n)
         for m in (1, 2, 10**60):
             assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
+
+
+def _in_q_by_class(h):
+    return nugget.classify(h).kind in ("b2-hat", "g0")
+
+
+def test_is_in_q_matches_the_classifier_up_to_2e5():
+    for h in range(2 * 10**5 + 1):
+        assert nugget.is_in_q(h) == _in_q_by_class(h), h
+
+
+def test_is_in_q_matches_the_classifier_near_fibonacci_numbers():
+    for k in range(1500):
+        for d in range(-2, 3):
+            h = fw.fib(k) + d
+            if h >= 0:
+                assert nugget.is_in_q(h) == _in_q_by_class(h), h
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**60), st.integers(1, 200), st.integers(-1, 1))
+def test_is_in_q_matches_the_classifier_far_out(m, n, d):
+    for h in (fw.compose_ab("BB", m) + 1 + d, nugget.g_heap(m, n) + d, fw.fib(2 * n + 3) - 2 + d):
+        assert nugget.is_in_q(h) == _in_q_by_class(h), h
 
 
 def test_deep_oracle_classifier_agreement():

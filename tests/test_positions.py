@@ -51,6 +51,7 @@ def test_winning_move_tiebreak_order(u):
 
 def test_spec_parsing():
     assert isinstance(pos.parse_spec("golden"), pos.GoldenSpec)
+    assert pos.parse_spec("golden") is nugget.GOLDEN
     assert pos.parse_spec("oddeven") == pos.ODD_EVEN
     beatty = pos.parse_spec("beatty:sqrt2")
     assert beatty == pos.BeattySpec(2)
@@ -85,9 +86,9 @@ def test_cs_outcomes_examples():
 
 
 def test_odd_even_values(u):
-    assert pos.heap_value(u, pos.ODD_EVEN, 1) == u.from_number(Dyadic(1))
-    assert pos.heap_value(u, pos.ODD_EVEN, 2) == u.parse("{1|0}")
-    assert pos.heap_value(u, pos.ODD_EVEN, 5) == u.from_number(Dyadic(1, 2))
+    assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 1, nugget.ORACLE_BOUND) == u.from_number(Dyadic(1))
+    assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 2, nugget.ORACLE_BOUND) == u.parse("{1|0}")
+    assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 5, nugget.ORACLE_BOUND) == u.from_number(Dyadic(1, 2))
 
 
 def test_golden_heaps_share_one_memo(u):
