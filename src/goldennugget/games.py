@@ -143,9 +143,12 @@ class Universe:
     def leq(self, g: GameId, h: GameId) -> bool:
         return self.geq(h, g)
 
-    def outcome(self, g: GameId) -> Outcome:
-        ge = self.geq(g, self.zero)
-        le = self.geq(self.zero, g)
+    def outcome(self, g: GameId, h: GameId | None = None) -> Outcome:
+        """Outcome of g - h (of g when h is omitted), read from g >= h and h >= g."""
+        if h is None:
+            h = self.zero
+        ge = self.geq(g, h)
+        le = self.geq(h, g)
         if ge and le:
             return Outcome.P
         if ge:

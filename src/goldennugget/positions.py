@@ -171,6 +171,12 @@ def parse_spec(text: str) -> CSGameSpec:
 # -- values ---------------------------------------------------------------
 
 
+def _signed_value(u: Universe, spec: CSGameSpec, color: str, size: int, bound: int) -> GameId:
+    """A heap's canonical form, negated when the heap is red."""
+    value = nugget.subtraction_canonical(u, spec, size, bound)
+    return u.negate(value) if color == RED else value
+
+
 def position_value(
     u: Universe,
     p: Position,
@@ -180,11 +186,14 @@ def position_value(
     """Canonical form of the disjunctive sum (red heaps count negatively)."""
     total = u.zero
     for color, size in p.heaps:
-        value = nugget.subtraction_canonical(u, spec, size, bound)
-        if color == RED:
-            value = u.negate(value)
-        total = u.add(total, value)
+        total = u.add(total, _signed_value(u, spec, color, size, bound))
     return u.canonical_form(total)
+
+
+def _minus_rest(u: Universe, p: Position, index: int, spec: CSGameSpec, bound: int) -> GameId:
+    """-R, where R is the value of every heap of p but the one at ``index``."""
+    rest = Position(p.heaps[:index] + p.heaps[index + 1:])
+    return u.negate(position_value(u, rest, spec, bound))
 
 
 def position_outcome(
@@ -193,7 +202,14 @@ def position_outcome(
     spec: CSGameSpec = GOLDEN,
     bound: int = nugget.ORACLE_BOUND,
 ) -> Outcome:
-    return u.outcome(position_value(u, p, spec, bound))
+    """Outcome of the sum G = v + R, v the first heap's value and R the rest's.
+
+    G >= 0 iff v >= -R, so the outcome comes from comparing v with -R both
+    ways, and the sum itself is never built.
+    """
+    if not p.heaps:
+        return u.outcome(u.zero)
+    return u.outcome(_signed_value(u, spec, *p.heaps[0], bound), _minus_rest(u, p, 0, spec, bound))
 
 
 def legal_moves(spec: CSGameSpec, p: Position, mover: str) -> list[Move]:
@@ -219,12 +235,20 @@ def winning_move(
 ) -> Move | None:
     """Some move after which the mover wins going second, or None.
 
-    Deterministic tie-break: smallest heap index, then smallest amount.
+    A move turning heap i into signed value v leaves G = v + R_i, R_i the
+    value of the other heaps.  Left wins it iff G >= 0, i.e. v >= -R_i;
+    Right iff v <= -R_i.  So -R_i is built once per heap and each move costs
+    one comparison.  Deterministic tie-break: smallest heap index, then
+    smallest amount.
     """
-    wins = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
+    minus_rests: dict[int, GameId] = {}
     for move in legal_moves(spec, p, mover):
-        after = p.replace(move.index, p.heaps[move.index][1] - move.amount)
-        if position_outcome(u, after, spec, bound) in wins:
+        if move.index not in minus_rests:
+            minus_rests[move.index] = _minus_rest(u, p, move.index, spec, bound)
+        color, size = p.heaps[move.index]
+        v = _signed_value(u, spec, color, size - move.amount, bound)
+        minus_rest = minus_rests[move.index]
+        if u.geq(v, minus_rest) if mover == "L" else u.geq(minus_rest, v):
             return move
     return None
 

@@ -757,13 +757,14 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
             for mover in ("L", "R"):
                 wins_set = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
                 move = pos.winning_move(u, p, mover, spec, bound=15)
+                # judged by the sum's outcome, not by the comparison route winning_move takes
                 if move is not None:
                     after = p.replace(move.index, p.heaps[move.index][1] - move.amount)
-                    yield pos.position_outcome(u, after, spec, bound=15) in wins_set, f"{p} {mover}"
+                    yield u.outcome(pos.position_value(u, after, spec, bound=15)) in wins_set, f"{p} {mover}"
                 else:
                     for m in pos.legal_moves(spec, p, mover):
                         after = p.replace(m.index, p.heaps[m.index][1] - m.amount)
-                        if pos.position_outcome(u, after, spec, bound=15) in wins_set:
+                        if u.outcome(pos.position_value(u, after, spec, bound=15)) in wins_set:
                             yield False, f"{p} {mover} missed {m}"
                             return
                     yield True, ""

@@ -94,6 +94,26 @@ def test_outcomes(u):
     assert u.outcome(star) == Outcome.N
 
 
+def test_outcome_of_a_difference_matches_the_built_difference(u):
+    rng = random.Random(11)
+
+    def rand_game(depth):
+        if depth == 0 or rng.random() < 0.35:
+            return u.from_number(Dyadic(rng.randint(-2, 2), rng.randint(0, 1)))
+        left = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
+        right = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
+        return u.make_game(left, right)
+
+    games = [rand_game(3) for _ in range(30)]
+    seen = set()
+    for g in games:
+        for h in games:
+            outcome = u.outcome(g, h)
+            assert outcome == u.outcome(u.add(g, u.negate(h)))
+            seen.add(outcome)
+    assert seen == set(Outcome)
+
+
 def test_stops(u):
     assert u.stops(u.parse("{1|0}")) == (ONE, ZERO)
     assert u.stops(u.parse("{1||1|0}")) == (ONE, ONE)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goldennugget import nugget
 from goldennugget import positions as pos
@@ -47,6 +48,34 @@ def test_winning_move_tiebreak_order(u):
     move = pos.winning_move(u, p, "L")
     assert move == pos.Move(0, 1)
     assert pos.winning_move(u, pos.Position.parse("0b"), "L") is None
+
+
+def _sum_route_winning_move(u, p, mover, spec):
+    """The definition: the first legal move whose after-position's sum outcome the mover wins."""
+    wins = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
+    for move in pos.legal_moves(spec, p, mover):
+        after = p.replace(move.index, p.heaps[move.index][1] - move.amount)
+        if u.outcome(pos.position_value(u, after, spec)) in wins:
+            return move
+    return None
+
+
+@pytest.fixture(scope="module")
+def shared_u():
+    """One Universe for many examples; its memo tables hold only exact answers."""
+    return Universe()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["golden", "oddeven", "beatty:sqrt2", "mod:3:L=1"]),
+    st.lists(st.tuples(st.sampled_from((pos.BLUE, pos.RED)), st.integers(0, 20)), max_size=4),
+)
+def test_comparison_route_matches_the_sum_definitions(shared_u, game, heaps):
+    u, spec, p = shared_u, pos.parse_spec(game), pos.Position(tuple(heaps))
+    assert pos.position_outcome(u, p, spec) == u.outcome(pos.position_value(u, p, spec))
+    for mover in ("L", "R"):
+        assert pos.winning_move(u, p, mover, spec) == _sum_route_winning_move(u, p, mover, spec)
 
 
 def test_spec_parsing():
