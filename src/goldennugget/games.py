@@ -19,10 +19,6 @@ from .dyadic import Dyadic, ZERO, simplest_number
 GameId = int
 
 
-class MalformedGameError(ValueError):
-    """A game fell outside the shapes its operation is defined on."""
-
-
 class ResourceLimitError(RuntimeError):
     """A configured size bound (e.g. the oracle bound) was exceeded."""
 
@@ -35,6 +31,13 @@ class Outcome(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @classmethod
+    def from_wins(cls, left_first: bool, right_first: bool) -> "Outcome":
+        """N when both players win moving first, L or R when only that one does, else P."""
+        if left_first:
+            return cls.N if right_first else cls.L
+        return cls.R if right_first else cls.P
 
 
 class Universe:
@@ -144,18 +147,11 @@ class Universe:
         return self.geq(h, g)
 
     def outcome(self, g: GameId, h: GameId | None = None) -> Outcome:
-        """Outcome of g - h (of g when h is omitted), read from g >= h and h >= g."""
+        """Outcome of g - h (of g when h is omitted): Left wins it moving first
+        unless g <= h, and Right unless g >= h."""
         if h is None:
             h = self.zero
-        ge = self.geq(g, h)
-        le = self.geq(h, g)
-        if ge and le:
-            return Outcome.P
-        if ge:
-            return Outcome.L
-        if le:
-            return Outcome.R
-        return Outcome.N
+        return Outcome.from_wins(not self.geq(h, g), not self.geq(g, h))
 
     # -- canonical form --------------------------------------------------
 
@@ -263,10 +259,8 @@ class Universe:
         x = self.as_number(g)
         if x is not None:
             pair = (x, x)
-        else:
+        else:  # both option sets are nonempty: a one-sided game equals an integer
             left, right = self._records[g]
-            if not left or not right:
-                raise MalformedGameError(f"non-number game {g} with an empty option set")
             pair = (
                 max(self.stops(gl)[1] for gl in left),
                 min(self.stops(gr)[0] for gr in right),
@@ -287,35 +281,12 @@ class Universe:
         return "{" + ls + "|" + rs + "}"
 
     def parse(self, text: str) -> GameId:
-        """Parse game text; accepts ``||`` / ``|||`` slash-rank shorthand."""
-        game, rest = self._parse_game(text.strip())
-        if rest.strip():
-            raise ValueError(f"trailing input {rest!r}")
-        return game
+        """Parse game text; accepts ``||`` / ``|||`` slash-rank shorthand.
 
-    def _parse_game(self, text: str) -> tuple[GameId, str]:
-        text = text.lstrip()
-        if text.startswith("{"):
-            body, rest = _matching_brace(text)
-            return self._parse_body(body), rest
-        m = _NUMBER_RE.match(text)
-        if not m:
-            raise ValueError(f"expected a game at {text[:20]!r}")
-        return self.from_number(Dyadic.from_str(m.group(0))), text[m.end():]
-
-    def _parse_body(self, body: str) -> GameId:
-        split = _split_rank(body)
-        if split is None:
-            raise ValueError(f"no option separator in {body!r}")
-        left_text, right_text = split
-        return self.make_game(self._side_options(left_text), self._side_options(right_text))
-
-    def _side_options(self, text: str) -> list[GameId]:
-        # slash-rank shorthand: a side holding a depth-zero pipe is one
-        # undelimited subgame (its commas belong to it), not an option list
-        if _split_rank(text) is not None:
-            return [self._parse_body(text)]
-        return [self.parse(p) for p in _split_commas(text)]
+        The whole text is read before any game is built, so malformed text
+        fails with ValueError however large its numbers are.
+        """
+        return self.from_json_obj(_read_game(_TOKEN_RE.findall(text)))
 
     # -- JSON form ------------------------------------------------------------
 
@@ -341,6 +312,8 @@ class Universe:
 
 _MISSING = object()
 _NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
+# numbers, pipe runs, and any other non-space character on its own
+_TOKEN_RE = re.compile(_NUMBER_RE.pattern + r"|\|+|\S")
 
 
 def _undominated(options: list[GameId], better) -> list[GameId]:
@@ -357,58 +330,51 @@ def _undominated(options: list[GameId], better) -> list[GameId]:
     return survivors
 
 
-def _matching_brace(text: str) -> tuple[str, str]:
+def _top_level(tokens: list[str]):
+    """(index, token) for each token outside every brace; an opening brace
+    at depth zero is yielded, since it starts a braced game."""
     depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
+    for pos, tok in enumerate(tokens):
+        if tok == "}":
             depth -= 1
-            if depth == 0:
-                return text[1:pos], text[pos + 1:]
-    raise ValueError(f"unbalanced braces in {text!r}")
-
-
-def _split_rank(body: str):
-    """Split on the longest pipe run at depth zero, or None if there is none."""
-    best_rank = 0
-    best_span = None
-    depth = 0
-    pos = 0
-    while pos < len(body):
-        ch = body[pos]
-        if ch == "{":
+            if depth < 0:
+                break
+        elif depth == 0:
+            yield pos, tok
+        if tok == "{":
             depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            run = pos
-            while run < len(body) and body[run] == "|":
-                run += 1
-            if run - pos > best_rank:
-                best_rank = run - pos
-                best_span = (pos, run)
-            pos = run
-            continue
-        pos += 1
-    if best_span is None:
-        return None
-    return body[: best_span[0]], body[best_span[1]:]
+    if depth:
+        raise ValueError(f"unbalanced braces in {''.join(tokens)!r}")
 
 
-def _split_commas(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for pos, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:pos])
-            start = pos + 1
-    last = text[start:]
-    if last.strip() or parts:
-        parts.append(last)
-    return [p for p in parts if p.strip()]
+def _read_game(tokens: list[str]):
+    """One game, a number or a braced body, in the JSON form."""
+    top = list(_top_level(tokens))
+    if len(top) != 1:
+        raise ValueError(f"expected one game in {''.join(tokens)!r}")
+    tok = top[0][1]
+    if tok == "{":
+        return _read_body(tokens[1:-1])
+    if not _NUMBER_RE.fullmatch(tok):
+        raise ValueError(f"expected a game at {tok!r}")
+    Dyadic.from_str(tok)  # rejects a denominator that is not a power of two
+    return tok
+
+
+def _read_body(tokens: list[str]):
+    """Options split at the first of the longest pipe runs at depth zero."""
+    pipes = [pos for pos, tok in _top_level(tokens) if tok[0] == "|"]
+    if not pipes:
+        raise ValueError(f"no option separator in {''.join(tokens)!r}")
+    at = max(pipes, key=lambda pos: len(tokens[pos]))  # max keeps the first of equals
+    return {"L": _read_side(tokens[:at]), "R": _read_side(tokens[at + 1:])}
+
+
+def _read_side(tokens: list[str]) -> list:
+    # slash-rank shorthand: a side holding a depth-zero pipe is one
+    # undelimited subgame (its commas belong to it), not an option list
+    top = list(_top_level(tokens))
+    if any(tok[0] == "|" for _, tok in top):
+        return [_read_body(tokens)]
+    cuts = [-1] + [pos for pos, tok in top if tok == ","] + [len(tokens)]
+    return [_read_game(tokens[a + 1:b]) for a, b in zip(cuts, cuts[1:]) if b > a + 1]

@@ -243,12 +243,8 @@ def heap_rcf(h: int) -> RcfValue:
         return RcfValue("switch", ZERO)
     if cls.kind == "ab-hat":
         return RcfValue("number", ONE)
-    if cls.kind == "b2-hat":
+    if cls.kind in ("b2-hat", "g0"):
         return RcfValue("number", xi_inverse(h))
-    if cls.kind == "g0":
-        value = xi_inverse(h)
-        assert value == s_val(cls.n), f"heap {h}: xi gave {value}, ladder gives {s_val(cls.n)}"
-        return RcfValue("number", value)
     return RcfValue("switch", s_val(cls.n))
 
 
@@ -258,7 +254,7 @@ def heap_rcf(h: int) -> RcfValue:
 class CSGameSpec:
     """A complementary subtraction game: two sets partitioning the positives."""
 
-    name = "cs"
+    name: str
 
     def left_ok(self, k: int) -> bool:
         raise NotImplementedError

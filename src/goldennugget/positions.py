@@ -10,7 +10,8 @@ share one outcome recursion and one value oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import nugget
 from .games import GameId, Outcome, Universe
@@ -72,100 +73,77 @@ class Move:
 
 
 @dataclass(frozen=True)
-class BeattySpec(CSGameSpec):
-    """Left removes floor(n * sqrt(root)); the floor is exact via isqrt."""
+class SetSpec(CSGameSpec):
+    """A spec other than golden: its normalized literal and Left's membership test.
 
-    root: int = 2
+    The name is the spec's identity (equality, hash, and the universe's memo
+    key), so it must be the normalized literal of ``member``, as ``parse_spec``
+    builds it; Right's set is the complement.
+    """
 
-    def __post_init__(self):
-        if not 1 < self.root < 4 or math.isqrt(self.root) ** 2 == self.root:
-            raise ValueError("root must give an irrational sqrt in (1, 2)")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"beatty:sqrt{self.root}"
+    name: str
+    member: Callable[[int], bool] = field(compare=False)
 
     def left_ok(self, k: int) -> bool:
-        # k = floor(n * sqrt(root)) for some n iff the open interval
-        # [k/sqrt(root), (k+1)/sqrt(root)) holds an integer
-        n = math.isqrt(self.root * k * k) // self.root + 1
-        return self.root * n * n < (k + 1) * (k + 1)
-
-
-@dataclass(frozen=True)
-class ModularSpec(CSGameSpec):
-    """Left removes numbers whose residue mod `modulus` lies in `left_residues`."""
-
-    modulus: int
-    left_residues: frozenset[int]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        if not set(self.left_residues) <= set(range(self.modulus)):
-            raise ValueError("residues out of range")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        inner = ",".join(str(r) for r in sorted(self.left_residues))
-        return f"mod:{self.modulus}:L={inner}"
-
-    def left_ok(self, k: int) -> bool:
-        return k % self.modulus in self.left_residues
-
-
-ODD_EVEN = ModularSpec(2, frozenset({1}))
-
-
-@dataclass(frozen=True)
-class ExplicitSpec(CSGameSpec):
-    """Left's set given outright; Right gets the complement up to `limit`."""
-
-    left_set: frozenset[int]
-    limit: int
-
-    def __post_init__(self):
-        if any(k <= 0 or k > self.limit for k in self.left_set):
-            raise ValueError("left set must lie in [1, limit]")
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        inner = ",".join(str(k) for k in sorted(self.left_set))
-        return f"explicit:L={{{inner}}}"
-
-    def left_ok(self, k: int) -> bool:
-        if k > self.limit:
-            raise ValueError(f"{k} beyond the bounded range {self.limit}")
-        return k in self.left_set
+        return self.member(k)
 
 
 def parse_spec(text: str) -> CSGameSpec:
     """Parse a spec literal: golden, oddeven, beatty:sqrt2, mod:3:L=1,2, explicit:L={...}."""
     text = text.strip()
 
-    def whole(field: str) -> int:
+    def whole(part: str) -> int:
         try:
-            return int(field)
+            return int(part)
         except ValueError:
             raise ValueError(f"bad game spec {text!r}") from None
+
+    def joined(numbers) -> str:
+        return ",".join(str(k) for k in sorted(numbers))
 
     if text == "golden":
         return GOLDEN
     if text == "oddeven":
         return ODD_EVEN
     if text.startswith("beatty:sqrt"):
-        return BeattySpec(whole(text[len("beatty:sqrt"):]))
+        root = whole(text[len("beatty:sqrt"):])
+        if not 1 < root < 4 or math.isqrt(root) ** 2 == root:
+            raise ValueError("root must give an irrational sqrt in (1, 2)")
+
+        def beatty(k: int) -> bool:
+            # k = floor(n * sqrt(root)) for some n iff the interval
+            # [k/sqrt(root), (k+1)/sqrt(root)) holds an integer; exact via isqrt
+            n = math.isqrt(root * k * k) // root + 1
+            return root * n * n < (k + 1) * (k + 1)
+
+        return SetSpec(f"beatty:sqrt{root}", beatty)
     if text.startswith("mod:"):
         parts = text.split(":", 2)
         if len(parts) < 3 or not parts[2].startswith("L="):
             raise ValueError(f"bad game spec {text!r}")
         residues = frozenset(whole(r) for r in parts[2][2:].split(",") if r)
-        return ModularSpec(whole(parts[1]), residues)
+        modulus = whole(parts[1])
+        if modulus < 2:
+            raise ValueError("modulus must be at least 2")
+        if not all(0 <= r < modulus for r in residues):
+            raise ValueError("residues out of range")
+        return SetSpec(f"mod:{modulus}:L={joined(residues)}", lambda k: k % modulus in residues)
     if text.startswith("explicit:L={") and text.endswith("}"):
-        body = text[len("explicit:L={"):-1]
-        members = frozenset(whole(k) for k in body.split(",") if k.strip())
-        return ExplicitSpec(members, max(members, default=1))
+        left_set = frozenset(whole(k) for k in text[len("explicit:L={"):-1].split(",") if k.strip())
+        limit = max(left_set, default=1)  # Right's set is the complement up to here
+        if any(k <= 0 for k in left_set):
+            raise ValueError("left set must lie in [1, limit]")
+
+        def explicit(k: int) -> bool:
+            if k > limit:
+                raise ValueError(f"{k} beyond the bounded range {limit}")
+            return k in left_set
+
+        return SetSpec(f"explicit:L={{{joined(left_set)}}}", explicit)
     raise ValueError(f"unknown game spec {text!r}")
+
+
+ODD_EVEN = parse_spec("mod:2:L=1")
 
 
 # -- values ---------------------------------------------------------------
@@ -261,23 +239,13 @@ def cs_outcomes(spec: CSGameSpec, max_h: int) -> list[Outcome]:
     if max_h < 0:
         raise ValueError(f"nonnegative bound required, got {max_h}")
     left_ok = [False] + [spec.left_ok(k) for k in range(1, max_h + 1)]
-    right_ok = [False] + [not left_ok[k] for k in range(1, max_h + 1)]
+    right_ok = [False] + [spec.right_ok(k) for k in range(1, max_h + 1)]
     left_first = [False] * (max_h + 1)
     right_first = [False] * (max_h + 1)
     for h in range(1, max_h + 1):
         left_first[h] = any(left_ok[s] and not right_first[h - s] for s in range(1, h + 1))
         right_first[h] = any(right_ok[s] and not left_first[h - s] for s in range(1, h + 1))
-    out = []
-    for h in range(max_h + 1):
-        if left_first[h] and right_first[h]:
-            out.append(Outcome.N)
-        elif left_first[h]:
-            out.append(Outcome.L)
-        elif right_first[h]:
-            out.append(Outcome.R)
-        else:
-            out.append(Outcome.P)
-    return out
+    return [Outcome.from_wins(*wins) for wins in zip(left_first, right_first)]
 
 
 @dataclass(frozen=True)

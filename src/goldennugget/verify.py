@@ -772,7 +772,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
     rec.sweep("winning moves win; absent means all moves lose (heaps <= 15)", move_soundness())
 
     def beatty_outcomes():
-        for game_spec in (nugget.GOLDEN, pos.BeattySpec(2)):
+        for game_spec in (nugget.GOLDEN, pos.parse_spec("beatty:sqrt2")):
             outcomes = pos.cs_outcomes(game_spec, 2000)
             for h in range(2001):
                 want = Outcome.P if h == 0 else (Outcome.L if game_spec.left_ok(h) else Outcome.N)

@@ -185,6 +185,20 @@ def test_parse_errors(u):
             u.parse(bad)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_reads_back_canonical_text(seed):
+    u = Universe()
+    c = u.canonical_form(_random_game(u, random.Random(seed), 4))
+    assert u.parse(u.to_text(c)) == c
+
+
+def test_parse_rejects_malformed_text_before_building_big_numbers(u):
+    for bad in (" 2000,", "{1023|0}}", "1032|/", "{2000|1/3}"):
+        with pytest.raises(ValueError):
+            u.parse(bad)
+
+
 def test_json_round_trip(u):
     for text in ("0", "1/2", "{1|0}", "{1,{1|0}|0,{1,{1|0}|0}}"):
         g = u.parse(text)

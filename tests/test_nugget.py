@@ -79,6 +79,9 @@ def test_heap_rcf_examples():
     assert nugget.heap_rcf(14) == nugget.RcfValue("number", Dyadic(7, 3))
     assert nugget.heap_rcf(0) == nugget.RcfValue("number", ZERO)
     assert nugget.heap_rcf(1) == nugget.RcfValue("number", ONE)
+    # the g0 heaps F(2n+3) - 2 sit on the ladder s(n)
+    for n in range(400):
+        assert nugget.heap_rcf(fw.fib(2 * n + 3) - 2) == nugget.RcfValue("number", nugget.s_val(n))
 
 
 def test_heap_canonical_examples():

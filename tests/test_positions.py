@@ -83,7 +83,7 @@ def test_spec_parsing():
     assert pos.parse_spec("golden") is nugget.GOLDEN
     assert pos.parse_spec("oddeven") == pos.ODD_EVEN
     beatty = pos.parse_spec("beatty:sqrt2")
-    assert beatty == pos.BeattySpec(2)
+    assert beatty == pos.parse_spec("beatty:sqrt2")
     modular = pos.parse_spec("mod:3:L=1,2")
     assert modular.left_ok(4) and not modular.left_ok(3)
     explicit = pos.parse_spec("explicit:L={1,4,9}")
@@ -91,12 +91,23 @@ def test_spec_parsing():
     with pytest.raises(ValueError):
         pos.parse_spec("nonsense")
     with pytest.raises(ValueError):
-        pos.BeattySpec(4)  # sqrt(4) is rational
+        pos.parse_spec("beatty:sqrt4")  # sqrt(4) is rational
+
+
+def test_spec_is_named_by_its_normalized_literal():
+    for literal, name in (("oddeven", "mod:2:L=1"), (" beatty:sqrt2 ", "beatty:sqrt2"),
+                          ("beatty:sqrt3", "beatty:sqrt3"), ("mod:3:L=2,1", "mod:3:L=1,2"),
+                          ("mod:5:L=", "mod:5:L="), ("explicit:L={4,1,9}", "explicit:L={1,4,9}"),
+                          ("explicit:L={}", "explicit:L={}")):
+        spec = pos.parse_spec(literal)
+        assert spec.name == name
+        again = pos.parse_spec(spec.name)
+        assert again == spec and hash(again) == hash(spec)
 
 
 def test_beatty_membership_is_exact():
     import math
-    spec = pos.BeattySpec(2)
+    spec = pos.parse_spec("beatty:sqrt2")
     floors = {math.isqrt(2 * n * n) for n in range(1, 4000)}
     for k in range(1, 2000):
         assert spec.left_ok(k) == (k in floors)
