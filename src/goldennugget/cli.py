@@ -13,6 +13,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import sys
 from typing import NamedTuple
 
@@ -77,6 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve", cmd_solve, "outcome and winning moves of a position", oracle=True)
     p.add_argument("position", help="literal like 3b+20b+18r")
+    # argparse takes a word starting with "-" for an option unless it looks like
+    # a negative number; "-3b" is a position literal, which Position.parse names
+    p._negative_number_matcher = re.compile(r"-\d")
     p.add_argument("--mover", choices=("L", "R"), default=None)
     p.add_argument("--game", default="golden")
 

@@ -131,20 +131,29 @@ class Universe:
         """g >= h: Left wins g - h moving second."""
         if g == h:
             return True
-        key = (g, h)
-        done = self._geq.get(key)
+        memo = self._geq
+        done = memo.get((g, h))
         if done is not None:
             return done
         # fails iff some right option of g is <= h or some left option of h is >= g
-        result = not (
-            any(self.geq(h, gr) for gr in self._records[g][1])
-            or any(self.geq(hl, g) for hl in self._records[h][0])
-        )
-        self._geq[key] = result
+        result = True
+        for gr in self._records[g][1]:
+            worse = memo.get((h, gr))
+            if worse is None:
+                worse = self.geq(h, gr)
+            if worse:
+                result = False
+                break
+        else:
+            for hl in self._records[h][0]:
+                better = memo.get((hl, g))
+                if better is None:
+                    better = self.geq(hl, g)
+                if better:
+                    result = False
+                    break
+        memo[(g, h)] = result
         return result
-
-    def leq(self, g: GameId, h: GameId) -> bool:
-        return self.geq(h, g)
 
     def outcome(self, g: GameId, h: GameId | None = None) -> Outcome:
         """Outcome of g - h (of g when h is omitted): Left wins it moving first
@@ -158,39 +167,76 @@ class Universe:
     def canonical_form(self, g: GameId) -> GameId:
         """The unique simplest game equal to g.
 
-        Children are simplified first; then dominated options are removed
-        and reversible options bypassed until a fixed point.
+        Children are simplified first.  Then, until a fixed point, dominated
+        options are removed and a reversible option is bypassed in the
+        trimmed game.  Trimming first is exact: the trimmed game equals the
+        untrimmed one, so an option reverses through the one as through the
+        other, and the bypass test sees only the few surviving options.
         """
-        done = self._canon.get(g)
+        canon = self._canon
+        done = canon.get(g)
         if done is not None:
             return done
-        ls = sorted({self.canonical_form(x) for x in self._records[g][0]})
-        rs = sorted({self.canonical_form(x) for x in self._records[g][1]})
+        left, right = self._records[g]
+        ls = sorted({canon[x] if x in canon else self.canonical_form(x) for x in left})
+        rs = sorted({canon[x] if x in canon else self.canonical_form(x) for x in right})
         while True:
+            ls = self._undominated(ls, 0)
+            rs = self._undominated(rs, 1)
             current = self.make_game(ls, rs)
-            known = self._canon.get(current)
-            if known is not None:
-                result = known
+            result = canon.get(current)
+            if result is not None:
                 break
-            ls = _undominated(ls, self.geq)
-            rs = _undominated(rs, self.leq)
-            replaced = self._bypass(current, ls, 0, self.leq) or self._bypass(current, rs, 1, self.geq)
-            trimmed = self.make_game(ls, rs)
-            if not replaced and trimmed == current:
-                result = current
-                self._canon[result] = result
+            if not (self._bypass(current, ls, 0) or self._bypass(current, rs, 1)):
+                result = canon[current] = current
                 break
-        self._canon[g] = result
+        canon[g] = result
         return result
 
-    def _bypass(self, game: GameId, options: list[GameId], side: int, reverses) -> bool:
-        # an option is reversible through any of its opposite-side options
-        # that `reverses` game (Left: <= game, Right: >= game)
+    def _undominated(self, options: list[GameId], side: int) -> list[GameId]:
+        """The options no other is at least as good as for ``side`` (0 Left:
+        greater, 1 Right: smaller), in order, by an antichain scan.
+
+        Exact on distinct canonical ids: no two are equal as games, so dominance
+        is a strict order with a unique maximal set.
+        """
+        known, geq = self._geq.get, self.geq
+        survivors: list[GameId] = []
+        for x in options:
+            for s in survivors:
+                pair = (x, s) if side else (s, x)  # s is at least as good as x
+                s_wins = known(pair)
+                if s_wins is None:
+                    s_wins = geq(*pair)
+                if s_wins:
+                    break
+            else:
+                kept = []
+                for s in survivors:
+                    pair = (s, x) if side else (x, s)  # x is at least as good as s
+                    x_wins = known(pair)
+                    if x_wins is None:
+                        x_wins = geq(*pair)
+                    if not x_wins:
+                        kept.append(s)
+                kept.append(x)
+                survivors = kept
+        return survivors
+
+    def _bypass(self, game: GameId, options: list[GameId], side: int) -> bool:
+        # an option on `side` (0 Left, 1 Right) is reversible through any of
+        # its opposite-side options `back` with back <= game (Left) or
+        # back >= game (Right); the first one found is replaced in place
+        known, geq, records = self._geq.get, self.geq, self._records
         for pos, a in enumerate(options):
-            for back in self._records[a][1 - side]:
-                if reverses(back, game):
+            for back in records[a][1 - side]:
+                pair = (back, game) if side else (game, back)
+                reverses = known(pair)
+                if reverses is None:
+                    reverses = geq(*pair)
+                if reverses:
                     del options[pos]
-                    options[:] = sorted(set(options) | set(self._records[back][side]))
+                    options[:] = sorted(set(options) | set(records[back][side]))
                     return True
         return False
 
@@ -314,20 +360,6 @@ _MISSING = object()
 _NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
 # numbers, pipe runs, and any other non-space character on its own
 _TOKEN_RE = re.compile(_NUMBER_RE.pattern + r"|\|+|\S")
-
-
-def _undominated(options: list[GameId], better) -> list[GameId]:
-    """The options no other is ``better`` than, in order, by an antichain scan.
-
-    Exact on distinct canonical ids: no two are equal as games, so dominance
-    is a strict order with a unique maximal set.
-    """
-    survivors = []
-    for x in options:
-        if not any(better(s, x) for s in survivors):
-            survivors = [s for s in survivors if not better(x, s)]
-            survivors.append(x)
-    return survivors
 
 
 def _top_level(tokens: list[str]):

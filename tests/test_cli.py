@@ -168,6 +168,19 @@ def test_usage_errors_exit_2(capsys):
         assert capsys.readouterr().err == f"error: bad heap literal '{part}' in '{literal}'\n"
 
 
+def test_a_position_literal_may_start_with_a_minus(capsys):
+    # argparse would read these as unknown options; solve names the literal
+    for argv in (["solve", "-3b"], ["solve", "-3b+4r", "--format", "json"]):
+        capsys.readouterr()
+        assert run(argv) == ("", 2), argv
+        assert capsys.readouterr().err == f"error: bad heap literal '-3b' in '{argv[1]}'\n"
+    out, code = run(["solve", "-h"])
+    assert code == 0 and out.startswith("usage: goldennugget solve")
+    capsys.readouterr()
+    assert run(["rcf", "-5"]) == ("", 2)
+    assert capsys.readouterr().err == "error: nonnegative integer required, got -5\n"
+
+
 def test_verify_flags_a_suite_does_not_take_are_usage_errors(capsys):
     for suite, flags, named in (("fibonacci", ["--bound", "5"], "--bound"),
                                 ("cli", ["--seed", "3"], "--seed"),

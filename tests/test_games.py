@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldennugget.dyadic import Dyadic, ZERO, ONE
-from goldennugget.games import Outcome, Universe, _undominated
+from goldennugget.games import Outcome, Universe
 from goldennugget.verify import _random_game
 
 
@@ -214,5 +214,30 @@ def test_antichain_scan_matches_quadratic_definition(seed, count):
     # an option survives when no other option is at least as good for its side
     left = [a for a in options if not any(b != a and u.geq(b, a) for b in options)]
     right = [b for b in options if not any(c != b and u.geq(b, c) for c in options)]
-    assert _undominated(options, u.geq) == left
-    assert _undominated(options, u.leq) == right
+    assert u._undominated(options, 0) == left
+    assert u._undominated(options, 1) == right
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_canonical_form_meets_its_definition(seed):
+    # every comparison here is a plain alternating search, not the geq memo;
+    # a sum of two random games has larger canonical forms than either
+    u = Universe()
+    rng = random.Random(seed)
+    g = u.add(_random_game(u, rng, 4), _random_game(u, rng, 4))
+    c = u.canonical_form(g)
+    assert brute_geq(u, g, c) and brute_geq(u, c, g)
+    todo, seen = [c], {c}
+    while todo:  # the definition holds at every subposition
+        p = todo.pop()
+        left, right = u.options(p)
+        for a in left:
+            assert not any(b != a and brute_geq(u, b, a) for b in left)
+            assert not any(brute_geq(u, p, back) for back in u.right_options(a))
+        for a in right:
+            assert not any(b != a and brute_geq(u, a, b) for b in right)
+            assert not any(brute_geq(u, back, p) for back in u.left_options(a))
+        fresh = set(left + right) - seen
+        seen |= fresh
+        todo += fresh
