@@ -87,12 +87,6 @@ class Universe:
     def options(self, g: GameId) -> tuple[tuple[GameId, ...], tuple[GameId, ...]]:
         return self._records[g]
 
-    def left_options(self, g: GameId) -> tuple[GameId, ...]:
-        return self._records[g][0]
-
-    def right_options(self, g: GameId) -> tuple[GameId, ...]:
-        return self._records[g][1]
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -165,14 +159,8 @@ class Universe:
     # -- canonical form --------------------------------------------------
 
     def canonical_form(self, g: GameId) -> GameId:
-        """The unique simplest game equal to g.
-
-        Children are simplified first.  Then, until a fixed point, dominated
-        options are removed and a reversible option is bypassed in the
-        trimmed game.  Trimming first is exact: the trimmed game equals the
-        untrimmed one, so an option reverses through the one as through the
-        other, and the bypass test sees only the few surviving options.
-        """
+        """The unique simplest game equal to g: children are simplified first,
+        then :meth:`reduce` runs under ``>=``."""
         canon = self._canon
         done = canon.get(g)
         if done is not None:
@@ -180,27 +168,52 @@ class Universe:
         left, right = self._records[g]
         ls = sorted({canon[x] if x in canon else self.canonical_form(x) for x in left})
         rs = sorted({canon[x] if x in canon else self.canonical_form(x) for x in right})
-        while True:
-            ls = self._undominated(ls, 0)
-            rs = self._undominated(rs, 1)
-            current = self.make_game(ls, rs)
-            result = canon.get(current)
-            if result is not None:
-                break
-            if not (self._bypass(current, ls, 0) or self._bypass(current, rs, 1)):
-                result = canon[current] = current
-                break
-        canon[g] = result
+        result = canon[g] = self.reduce(ls, rs, canon, self._geq, self.geq)
         return result
 
-    def _undominated(self, options: list[GameId], side: int) -> list[GameId]:
+    def reduce(self, ls: list[GameId], rs: list[GameId], done: dict, memo: dict, geq, keep=None) -> GameId:
+        """The fixed point of trimming and bypassing ``{ls | rs}`` under an order.
+
+        ``geq(g, h)`` is the order (``>=``, or ``>=_Inf`` for reduced forms),
+        ``memo`` its cache keyed ``(g, h)``, and ``done`` maps each fixed point
+        to itself.  Until a fixed point, dominated options are removed and
+        the first reversible option is bypassed in the trimmed game, when
+        ``keep`` (if given) accepts the game the bypass makes.
+
+        Trimming first is exact: the trimmed game equals the untrimmed one
+        under the order, so an option reverses through the one as through
+        the other, and the bypass test sees only the few surviving options.
+        The antichain scan of :meth:`_undominated` is exact when no two
+        options are equal under the order.  Under ``>=`` the options are
+        distinct canonical forms.  Under ``>=_Inf`` every option is a distinct
+        reduced canonical form: the children are reduced before the loop,
+        and a bypass brings in options of an option's option, which are
+        subpositions of a reduced form and so reduced themselves.  Two
+        distinct reduced canonical forms are never infinitesimally close, by
+        their uniqueness (Grossman and Siegel, "Reductions of partizan
+        games"; Siegel, *Combinatorial Game Theory*, ch. II).
+        """
+        while True:
+            ls = self._undominated(ls, 0, memo, geq)
+            rs = self._undominated(rs, 1, memo, geq)
+            current = self.make_game(ls, rs)
+            result = done.get(current)
+            if result is not None:
+                return result
+            bypassed = self._bypass(current, ls, rs, memo, geq, keep)
+            if bypassed is None:
+                done[current] = current
+                return current
+            ls, rs = bypassed
+
+    def _undominated(self, options: list[GameId], side: int, memo: dict, geq) -> list[GameId]:
         """The options no other is at least as good as for ``side`` (0 Left:
         greater, 1 Right: smaller), in order, by an antichain scan.
 
-        Exact on distinct canonical ids: no two are equal as games, so dominance
-        is a strict order with a unique maximal set.
+        Exact when no two options are equal under ``geq``: dominance is then
+        a strict order with a unique maximal set.
         """
-        known, geq = self._geq.get, self.geq
+        known = memo.get
         survivors: list[GameId] = []
         for x in options:
             for s in survivors:
@@ -223,22 +236,25 @@ class Universe:
                 survivors = kept
         return survivors
 
-    def _bypass(self, game: GameId, options: list[GameId], side: int) -> bool:
+    def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], memo: dict, geq, keep):
         # an option on `side` (0 Left, 1 Right) is reversible through any of
         # its opposite-side options `back` with back <= game (Left) or
-        # back >= game (Right); the first one found is replaced in place
-        known, geq, records = self._geq.get, self.geq, self._records
-        for pos, a in enumerate(options):
-            for back in records[a][1 - side]:
-                pair = (back, game) if side else (game, back)
-                reverses = known(pair)
-                if reverses is None:
-                    reverses = geq(*pair)
-                if reverses:
-                    del options[pos]
-                    options[:] = sorted(set(options) | set(records[back][side]))
-                    return True
-        return False
+        # back >= game (Right); the first one found whose bypass `keep`
+        # accepts is replaced by back's options, giving the new (ls, rs)
+        known, records = memo.get, self._records
+        for side, options in enumerate((ls, rs)):
+            for a in options:
+                for back in records[a][1 - side]:
+                    pair = (back, game) if side else (game, back)
+                    reverses = known(pair)
+                    if reverses is None:
+                        reverses = geq(*pair)
+                    if reverses:
+                        sides = [ls, rs]
+                        sides[side] = sorted(set(options).union(records[back][side]) - {a})
+                        if keep is None or keep(self.make_game(*sides)):
+                            return sides
+        return None
 
     # -- numbers -----------------------------------------------------------
 

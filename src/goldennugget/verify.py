@@ -196,12 +196,12 @@ def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
             for a in ls:
                 yield not any(b != a and geq_inf(u, b, a) for b in ls), \
                     f"Inf-dominated left option in {u.to_text(r)}"
-                yield not any(geq_inf(u, r, r1) for r1 in u.right_options(a)), \
+                yield not any(geq_inf(u, r, r1) for r1 in u.options(a)[1]), \
                     f"Inf-reversible left option in {u.to_text(r)}"
             for b in rs:
                 yield not any(c != b and geq_inf(u, b, c) for c in rs), \
                     f"Inf-dominated right option in {u.to_text(r)}"
-                yield not any(geq_inf(u, l1, r) for l1 in u.left_options(b)), \
+                yield not any(geq_inf(u, l1, r) for l1 in u.options(b)[0]), \
                     f"Inf-reversible right option in {u.to_text(r)}"
             stack.extend(ls + rs)
 
@@ -701,15 +701,7 @@ def brute_position_outcome(spec: nugget.CSGameSpec, p: pos.Position) -> Outcome:
         memo[key] = result
         return result
 
-    l_first = wins(p.heaps, "L")
-    r_first = wins(p.heaps, "R")
-    if l_first and r_first:
-        return Outcome.N
-    if l_first:
-        return Outcome.L
-    if r_first:
-        return Outcome.R
-    return Outcome.P
+    return Outcome.from_wins(wins(p.heaps, "L"), wins(p.heaps, "R"))
 
 
 def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:

@@ -1,10 +1,12 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import Outcome, Universe
+from goldennugget.rcf import geq_inf, reduced_canonical_form
 from goldennugget.verify import _random_game
 
 
@@ -15,7 +17,7 @@ def u():
 
 def player_wins(u, g, mover):
     """Plain alternating-play search, independent of the memoized order logic."""
-    options = u.left_options(g) if mover == "L" else u.right_options(g)
+    options = u.options(g)[0 if mover == "L" else 1]
     other = "R" if mover == "L" else "L"
     return any(not player_wins(u, o, other) for o in options)
 
@@ -208,14 +210,22 @@ def test_json_round_trip(u):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
 def test_antichain_scan_matches_quadratic_definition(seed, count):
+    # exact under >= on distinct canonical forms, and under >=_Inf on distinct
+    # reduced canonical forms, which are never infinitesimally close
     u = Universe()
     rng = random.Random(seed)
-    options = sorted({u.canonical_form(_random_game(u, rng, 4)) for _ in range(count)})
-    # an option survives when no other option is at least as good for its side
-    left = [a for a in options if not any(b != a and u.geq(b, a) for b in options)]
-    right = [b for b in options if not any(c != b and u.geq(b, c) for c in options)]
-    assert u._undominated(options, 0) == left
-    assert u._undominated(options, 1) == right
+    games = [_random_game(u, rng, 4) for _ in range(count)]
+    orders = [
+        (u.canonical_form, u._geq, u.geq),
+        (partial(reduced_canonical_form, u), u.cache("geq_inf"), partial(geq_inf, u)),
+    ]
+    for form, memo, geq in orders:
+        options = sorted({form(g) for g in games})
+        # an option survives when no other option is at least as good for its side
+        left = [a for a in options if not any(b != a and geq(b, a) for b in options)]
+        right = [b for b in options if not any(c != b and geq(b, c) for c in options)]
+        assert u._undominated(options, 0, memo, geq) == left
+        assert u._undominated(options, 1, memo, geq) == right
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,10 +244,10 @@ def test_canonical_form_meets_its_definition(seed):
         left, right = u.options(p)
         for a in left:
             assert not any(b != a and brute_geq(u, b, a) for b in left)
-            assert not any(brute_geq(u, p, back) for back in u.right_options(a))
+            assert not any(brute_geq(u, p, back) for back in u.options(a)[1])
         for a in right:
             assert not any(b != a and brute_geq(u, a, b) for b in right)
-            assert not any(brute_geq(u, back, p) for back in u.left_options(a))
+            assert not any(brute_geq(u, back, p) for back in u.options(a)[0])
         fresh = set(left + right) - seen
         seen |= fresh
         todo += fresh

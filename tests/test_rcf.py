@@ -49,3 +49,15 @@ def test_rcf_of_numbers_and_infinitesimals(u):
     assert reduced_canonical_form(u, up) == u.zero
     # number plus infinitesimal reduces to the number
     assert reduced_canonical_form(u, u.add(half, star)) == half
+
+
+@pytest.mark.parametrize("text, reduced", [
+    ("{1,{2|0}|0}", "{1|0}"),
+    ("{1|0,{1|-1}}", "{1|0}"),
+    ("{2|1/2,{2|0}}", "{2|1/2}"),
+    ("{0,{5|-1}|-1}", "{0|-1}"),
+])
+def test_rcf_bypasses_inf_reversible_options(u, text, reduced):
+    # each game is its own canonical form; its reduced form bypasses an
+    # Inf-reversible option
+    assert u.to_text(reduced_canonical_form(u, u.parse(text))) == reduced
