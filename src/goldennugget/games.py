@@ -59,6 +59,9 @@ class Universe:
         self._stops: dict[GameId, tuple[Dyadic, Dyadic]] = {}
         self._numbers: dict[Dyadic, GameId] = {}
         self._caches: dict[str, dict] = {}
+        # id of an order's memo -> (the memo, Left and Right "beaten by"
+        # tables); holding the memo keeps its id from being reused
+        self._beaten: dict[int, tuple[dict, dict, dict]] = {}
         self.zero: GameId = self.make_game([], [])
         self._canon[self.zero] = self.zero
         self._numbers[ZERO] = self.zero
@@ -177,12 +180,18 @@ class Universe:
         ``geq(g, h)`` is the order (``>=``, or ``>=_Inf`` for reduced forms),
         ``memo`` its cache keyed ``(g, h)``, and ``done`` maps each fixed point
         to itself.  Until a fixed point, dominated options are removed and
-        the first reversible option is bypassed in the trimmed game, when
-        ``keep`` (if given) accepts the game the bypass makes.
+        every reversible option is bypassed, each bypass only when ``keep``
+        (if given) accepts the game it makes.
 
         Trimming first is exact: the trimmed game equals the untrimmed one
         under the order, so an option reverses through the one as through
         the other, and the bypass test sees only the few surviving options.
+        For the same reason every round tests reversibility against the
+        first trimmed game: removing a dominated option and bypassing a
+        reversible one leave a game equal to it under the order (Siegel,
+        *Combinatorial Game Theory*, ch. II), so each answer is the one the
+        round's own game would give, and it is already in ``memo``.
+
         The antichain scan of :meth:`_undominated` is exact when no two
         options are equal under the order.  Under ``>=`` the options are
         distinct canonical forms.  Under ``>=_Inf`` every option is a distinct
@@ -191,8 +200,13 @@ class Universe:
         subpositions of a reduced form and so reduced themselves.  Two
         distinct reduced canonical forms are never infinitesimally close, by
         their uniqueness (Grossman and Siegel, "Reductions of partizan
-        games"; Siegel, *Combinatorial Game Theory*, ch. II).
+        games"; Siegel, ch. II).  So an option that beats another is strictly
+        better than it, which is what lets the scan drop an option whose
+        recorded beater is present: that option is not maximal, and since
+        the strict order is transitive, removing it leaves the maximal set
+        as it was.
         """
+        game = None
         while True:
             ls = self._undominated(ls, 0, memo, geq)
             rs = self._undominated(rs, 1, memo, geq)
@@ -200,7 +214,9 @@ class Universe:
             result = done.get(current)
             if result is not None:
                 return result
-            bypassed = self._bypass(current, ls, rs, memo, geq, keep)
+            if game is None:
+                game = current
+            bypassed = self._bypass(game, ls, rs, memo, geq, keep)
             if bypassed is None:
                 done[current] = current
                 return current
@@ -211,17 +227,25 @@ class Universe:
         greater, 1 Right: smaller), in order, by an antichain scan.
 
         Exact when no two options are equal under ``geq``: dominance is then
-        a strict order with a unique maximal set.
+        a strict order with a unique maximal set.  Each win the scan sees is
+        recorded per order and side as "beaten by", and a later scan first
+        drops every option whose recorded beater is among its options.
         """
+        beaten = self._beaten.setdefault(id(memo), (memo, {}, {}))[1 + side]
+        present = set(options)
+        by = beaten.get
         known = memo.get
         survivors: list[GameId] = []
         for x in options:
+            if by(x) in present:
+                continue
             for s in survivors:
                 pair = (x, s) if side else (s, x)  # s is at least as good as x
                 s_wins = known(pair)
                 if s_wins is None:
                     s_wins = geq(*pair)
                 if s_wins:
+                    beaten[x] = s
                     break
             else:
                 kept = []
@@ -230,31 +254,41 @@ class Universe:
                     x_wins = known(pair)
                     if x_wins is None:
                         x_wins = geq(*pair)
-                    if not x_wins:
+                    if x_wins:
+                        beaten[s] = x
+                    else:
                         kept.append(s)
                 kept.append(x)
                 survivors = kept
         return survivors
 
     def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], memo: dict, geq, keep):
-        # an option on `side` (0 Left, 1 Right) is reversible through any of
-        # its opposite-side options `back` with back <= game (Left) or
-        # back >= game (Right); the first one found whose bypass `keep`
-        # accepts is replaced by back's options, giving the new (ls, rs)
+        # one pass: an option on `side` (0 Left, 1 Right) is reversible
+        # through any of its opposite-side options `back` with back <= game
+        # (Left) or back >= game (Right); each one found whose bypass `keep`
+        # accepts is replaced by back's options, which are tested in the
+        # same pass.  The new (ls, rs), or None when nothing was bypassed.
         known, records = memo.get, self._records
-        for side, options in enumerate((ls, rs)):
-            for a in options:
+        sides = [set(ls), set(rs)]
+        bypassed = False
+        for side in (0, 1):
+            work = sorted(sides[side], reverse=True)
+            while work:
+                a = work.pop()
                 for back in records[a][1 - side]:
                     pair = (back, game) if side else (game, back)
                     reverses = known(pair)
                     if reverses is None:
                         reverses = geq(*pair)
                     if reverses:
-                        sides = [ls, rs]
-                        sides[side] = sorted(set(options).union(records[back][side]) - {a})
-                        if keep is None or keep(self.make_game(*sides)):
-                            return sides
-        return None
+                        fresh = [x for x in records[back][side] if x not in sides[side]]
+                        trial = sides[:]
+                        trial[side] = sides[side].difference((a,)).union(fresh)
+                        if keep is None or keep(self.make_game(*trial)):
+                            sides, bypassed = trial, True
+                            work += fresh
+                            break
+        return [sorted(options) for options in sides] if bypassed else None
 
     # -- numbers -----------------------------------------------------------
 

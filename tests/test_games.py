@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldennugget import nugget
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import Outcome, Universe
 from goldennugget.rcf import geq_inf, reduced_canonical_form
@@ -25,6 +26,24 @@ def player_wins(u, g, mover):
 def brute_geq(u, g, h):
     diff = u.add(g, u.negate(h))
     return not player_wins(u, diff, "R")
+
+
+def rich_game(u, rng):
+    """A game nested two levels deep over a pool of values that often leaves
+    options to trim or bypass: dyadics with denominator up to 4 in [-4, 4],
+    plus or minus the golden heap values up to 24, star, up and down."""
+    quarters = [u.from_number(Dyadic(n, 2)) for n in range(-16, 17)]
+    heaps = [nugget.heap_canonical(u, h, bound=24) for h in range(25)]
+    up = u.parse("{0|{0|0}}")
+    pool = quarters + heaps + [u.negate(g) for g in heaps] + [u.parse("{0|0}"), up, u.negate(up)]
+
+    def draw(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(pool)
+        return u.make_game([draw(depth - 1) for _ in range(rng.randint(1, 3))],
+                           [draw(depth - 1) for _ in range(rng.randint(1, 3))])
+
+    return draw(2)
 
 
 def test_make_game_basics(u):
@@ -211,43 +230,52 @@ def test_json_round_trip(u):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
 def test_antichain_scan_matches_quadratic_definition(seed, count):
     # exact under >= on distinct canonical forms, and under >=_Inf on distinct
-    # reduced canonical forms, which are never infinitesimally close
+    # reduced canonical forms, which are never infinitesimally close; scans of
+    # overlapping windows first fill the "beaten by" tables the full scan reads
     u = Universe()
     rng = random.Random(seed)
-    games = [_random_game(u, rng, 4) for _ in range(count)]
+    games = [_random_game(u, rng, 4) for _ in range(count)] + [rich_game(u, rng) for _ in range(count)]
     orders = [
         (u.canonical_form, u._geq, u.geq),
         (partial(reduced_canonical_form, u), u.cache("geq_inf"), partial(geq_inf, u)),
     ]
     for form, memo, geq in orders:
+
+        def maximal(options, side):
+            # an option survives when no other option is at least as good for its side
+            return [a for a in options
+                    if not any(b != a and (geq(a, b) if side else geq(b, a)) for b in options)]
+
         options = sorted({form(g) for g in games})
-        # an option survives when no other option is at least as good for its side
-        left = [a for a in options if not any(b != a and geq(b, a) for b in options)]
-        right = [b for b in options if not any(c != b and geq(b, c) for c in options)]
-        assert u._undominated(options, 0, memo, geq) == left
-        assert u._undominated(options, 1, memo, geq) == right
+        shuffled = rng.sample(options, len(options))
+        for side in (0, 1):
+            for start in range(len(shuffled)):
+                window = shuffled[start:start + 3]
+                assert u._undominated(window, side, memo, geq) == maximal(window, side)
+            assert u._undominated(options, side, memo, geq) == maximal(options, side)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_canonical_form_meets_its_definition(seed):
     # every comparison here is a plain alternating search, not the geq memo;
-    # a sum of two random games has larger canonical forms than either
+    # a sum of two random games has larger canonical forms than either, and
+    # a rich game usually has options to trim or bypass
     u = Universe()
     rng = random.Random(seed)
-    g = u.add(_random_game(u, rng, 4), _random_game(u, rng, 4))
-    c = u.canonical_form(g)
-    assert brute_geq(u, g, c) and brute_geq(u, c, g)
-    todo, seen = [c], {c}
-    while todo:  # the definition holds at every subposition
-        p = todo.pop()
-        left, right = u.options(p)
-        for a in left:
-            assert not any(b != a and brute_geq(u, b, a) for b in left)
-            assert not any(brute_geq(u, p, back) for back in u.options(a)[1])
-        for a in right:
-            assert not any(b != a and brute_geq(u, a, b) for b in right)
-            assert not any(brute_geq(u, back, p) for back in u.options(a)[0])
-        fresh = set(left + right) - seen
-        seen |= fresh
-        todo += fresh
+    for g in (u.add(_random_game(u, rng, 4), _random_game(u, rng, 4)), rich_game(u, rng)):
+        c = u.canonical_form(g)
+        assert brute_geq(u, g, c) and brute_geq(u, c, g)
+        todo, seen = [c], {c}
+        while todo:  # the definition holds at every subposition
+            p = todo.pop()
+            left, right = u.options(p)
+            for a in left:
+                assert not any(b != a and brute_geq(u, b, a) for b in left)
+                assert not any(brute_geq(u, p, back) for back in u.options(a)[1])
+            for a in right:
+                assert not any(b != a and brute_geq(u, a, b) for b in right)
+                assert not any(brute_geq(u, back, p) for back in u.options(a)[0])
+            fresh = set(left + right) - seen
+            seen |= fresh
+            todo += fresh

@@ -145,5 +145,5 @@ def test_is_in_q_matches_the_classifier_far_out(m, n, d):
 def test_deep_oracle_classifier_agreement():
     # well beyond the acceptance bound: the classifier and the full search
     # stay in lockstep, and every number heap evaluates via the bit map
-    failures = [detail for ok, detail in verify.oracle_classifier_agreement(Universe(), 1300) if not ok]
+    failures = [detail for ok, detail in verify.oracle_classifier_agreement(Universe(), 3000) if not ok]
     assert not failures
