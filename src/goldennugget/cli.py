@@ -113,8 +113,7 @@ def cmd_value(args):
 
 def cmd_rcf(args):
     value = nugget.heap_rcf(args.heap)
-    game = str(value) if value.kind == "number" else {"L": ["1"], "R": [str(value.value)]}
-    return {"h": args.heap, "kind": value.kind, "game": game}, str(value)
+    return {"h": args.heap, "kind": value.kind, "game": value.to_json_obj()}, str(value)
 
 
 def cmd_classify(args):

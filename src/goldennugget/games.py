@@ -54,21 +54,19 @@ class Universe:
         self._neg: dict[GameId, GameId] = {}
         self._sum: dict[tuple[GameId, GameId], GameId] = {}
         self._geq: dict[tuple[GameId, GameId], bool] = {}
-        self._canon: dict[GameId, GameId] = {}
         self._numval: dict[GameId, Dyadic | None] = {}
         self._stops: dict[GameId, tuple[Dyadic, Dyadic]] = {}
         self._numbers: dict[Dyadic, GameId] = {}
         self._caches: dict[str, dict] = {}
-        # id of an order's memo -> (the memo, Left and Right "beaten by"
-        # tables); holding the memo keeps its id from being reused
-        self._beaten: dict[int, tuple[dict, dict, dict]] = {}
+        self._canon: dict[GameId, GameId] = self.cache("canonical")
         self.zero: GameId = self.make_game([], [])
         self._canon[self.zero] = self.zero
         self._numbers[ZERO] = self.zero
         self._numval[self.zero] = ZERO
 
     def cache(self, name: str) -> dict:
-        """A named memo table for client modules, with get-or-insert use."""
+        """A named memo table, with get-or-insert use: each order's tables
+        of :meth:`reduce`, and client modules' own."""
         return self._caches.setdefault(name, {})
 
     # -- arena -------------------------------------------------------
@@ -164,24 +162,26 @@ class Universe:
     def canonical_form(self, g: GameId) -> GameId:
         """The unique simplest game equal to g: children are simplified first,
         then :meth:`reduce` runs under ``>=``."""
-        canon = self._canon
-        done = canon.get(g)
+        done = self._canon.get(g)
         if done is not None:
             return done
         left, right = self._records[g]
-        ls = sorted({canon[x] if x in canon else self.canonical_form(x) for x in left})
-        rs = sorted({canon[x] if x in canon else self.canonical_form(x) for x in right})
-        result = canon[g] = self.reduce(ls, rs, canon, self._geq, self.geq)
+        ls = sorted({self.canonical_form(x) for x in left})
+        rs = sorted({self.canonical_form(x) for x in right})
+        result = self._canon[g] = self.reduce(ls, rs, "canonical", self.geq)
         return result
 
-    def reduce(self, ls: list[GameId], rs: list[GameId], done: dict, memo: dict, geq, keep=None) -> GameId:
+    def reduce(self, ls: list[GameId], rs: list[GameId], order: str, geq, keep=None) -> GameId:
         """The fixed point of trimming and bypassing ``{ls | rs}`` under an order.
 
-        ``geq(g, h)`` is the order (``>=``, or ``>=_Inf`` for reduced forms),
-        ``memo`` its cache keyed ``(g, h)``, and ``done`` maps each fixed point
-        to itself.  Until a fixed point, dominated options are removed and
-        every reversible option is bypassed, each bypass only when ``keep``
-        (if given) accepts the game it makes.
+        ``ls`` and ``rs`` are sorted lists of distinct forms of the order:
+        canonical forms under ``geq`` = ``>=``, reduced canonical forms under
+        ``>=_Inf``.  ``order`` names the order's tables in :meth:`cache`: the
+        table ``order``, where each fixed point maps to itself, and the Left
+        and Right "beaten by" tables of :meth:`_undominated`.  Until a
+        fixed point, dominated options are removed and every reversible
+        option is bypassed, each bypass only when ``keep`` (if given)
+        accepts the game it makes.
 
         Trimming first is exact: the trimmed game equals the untrimmed one
         under the order, so an option reverses through the one as through
@@ -190,71 +190,65 @@ class Universe:
         first trimmed game: removing a dominated option and bypassing a
         reversible one leave a game equal to it under the order (Siegel,
         *Combinatorial Game Theory*, ch. II), so each answer is the one the
-        round's own game would give, and it is already in ``memo``.
+        round's own game would give, and ``geq`` has already memoized it.
 
         The antichain scan of :meth:`_undominated` is exact when no two
-        options are equal under the order.  Under ``>=`` the options are
-        distinct canonical forms.  Under ``>=_Inf`` every option is a distinct
-        reduced canonical form: the children are reduced before the loop,
-        and a bypass brings in options of an option's option, which are
-        subpositions of a reduced form and so reduced themselves.  Two
-        distinct reduced canonical forms are never infinitesimally close, by
-        their uniqueness (Grossman and Siegel, "Reductions of partizan
+        options are equal under the order, which is why the options must be
+        distinct: a duplicate x would record "x beaten by x" and so drop x
+        from every later scan.  Under ``>=`` the options are distinct
+        canonical forms.  Under ``>=_Inf`` every option is a distinct reduced
+        canonical form: a bypass brings in options of an option's option,
+        which are subpositions of a reduced form and so reduced themselves.
+        Two distinct reduced canonical forms are never infinitesimally close,
+        by their uniqueness (Grossman and Siegel, "Reductions of partizan
         games"; Siegel, ch. II).  So an option that beats another is strictly
         better than it, which is what lets the scan drop an option whose
         recorded beater is present: that option is not maximal, and since
         the strict order is transitive, removing it leaves the maximal set
         as it was.
         """
+        done = self.cache(order)
+        beaten = self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right")
         game = None
         while True:
-            ls = self._undominated(ls, 0, memo, geq)
-            rs = self._undominated(rs, 1, memo, geq)
+            ls = self._undominated(ls, 0, geq, beaten[0])
+            rs = self._undominated(rs, 1, geq, beaten[1])
             current = self.make_game(ls, rs)
             result = done.get(current)
             if result is not None:
                 return result
             if game is None:
                 game = current
-            bypassed = self._bypass(game, ls, rs, memo, geq, keep)
+            bypassed = self._bypass(game, ls, rs, geq, keep)
             if bypassed is None:
                 done[current] = current
                 return current
             ls, rs = bypassed
 
-    def _undominated(self, options: list[GameId], side: int, memo: dict, geq) -> list[GameId]:
+    def _undominated(self, options: list[GameId], side: int, geq, beaten: dict) -> list[GameId]:
         """The options no other is at least as good as for ``side`` (0 Left:
         greater, 1 Right: smaller), in order, by an antichain scan.
 
         Exact when no two options are equal under ``geq``: dominance is then
         a strict order with a unique maximal set.  Each win the scan sees is
-        recorded per order and side as "beaten by", and a later scan first
-        drops every option whose recorded beater is among its options.
+        recorded in ``beaten``, the order's table for ``side``, as option ->
+        its beater, and a scan first drops every option whose recorded
+        beater is among its options.
         """
-        beaten = self._beaten.setdefault(id(memo), (memo, {}, {}))[1 + side]
         present = set(options)
         by = beaten.get
-        known = memo.get
         survivors: list[GameId] = []
         for x in options:
             if by(x) in present:
                 continue
             for s in survivors:
-                pair = (x, s) if side else (s, x)  # s is at least as good as x
-                s_wins = known(pair)
-                if s_wins is None:
-                    s_wins = geq(*pair)
-                if s_wins:
+                if geq(x, s) if side else geq(s, x):  # s is at least as good as x
                     beaten[x] = s
                     break
             else:
                 kept = []
                 for s in survivors:
-                    pair = (s, x) if side else (x, s)  # x is at least as good as s
-                    x_wins = known(pair)
-                    if x_wins is None:
-                        x_wins = geq(*pair)
-                    if x_wins:
+                    if geq(s, x) if side else geq(x, s):  # x is at least as good as s
                         beaten[s] = x
                     else:
                         kept.append(s)
@@ -262,13 +256,13 @@ class Universe:
                 survivors = kept
         return survivors
 
-    def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], memo: dict, geq, keep):
+    def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], geq, keep):
         # one pass: an option on `side` (0 Left, 1 Right) is reversible
         # through any of its opposite-side options `back` with back <= game
         # (Left) or back >= game (Right); each one found whose bypass `keep`
         # accepts is replaced by back's options, which are tested in the
         # same pass.  The new (ls, rs), or None when nothing was bypassed.
-        known, records = memo.get, self._records
+        records = self._records
         sides = [set(ls), set(rs)]
         bypassed = False
         for side in (0, 1):
@@ -276,11 +270,7 @@ class Universe:
             while work:
                 a = work.pop()
                 for back in records[a][1 - side]:
-                    pair = (back, game) if side else (game, back)
-                    reverses = known(pair)
-                    if reverses is None:
-                        reverses = geq(*pair)
-                    if reverses:
+                    if geq(back, game) if side else geq(game, back):
                         fresh = [x for x in records[back][side] if x not in sides[side]]
                         trial = sides[:]
                         trial[side] = sides[side].difference((a,)).union(fresh)

@@ -228,10 +228,14 @@ class RcfValue:
             return str(self.value)
         return "{1|" + str(self.value) + "}"
 
-    def to_game(self, u: Universe) -> GameId:
+    def to_json_obj(self):
+        """The game's JSON form (see :meth:`Universe.to_json_obj`), built without a game."""
         if self.kind == "number":
-            return u.from_number(self.value)
-        return u.make_game([u.from_number(ONE)], [u.from_number(self.value)])
+            return str(self.value)
+        return {"L": [str(ONE)], "R": [str(self.value)]}
+
+    def to_game(self, u: Universe) -> GameId:
+        return u.from_json_obj(self.to_json_obj())
 
 
 def heap_rcf(h: int) -> RcfValue:
@@ -292,7 +296,8 @@ def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> 
 
     The forms of heaps 0, 1, 2, ... and both subtraction lists grow together
     in the universe under the spec's name, so each predicate runs once per k;
-    a k whose predicate raised is not recorded.
+    a k whose predicate raised is not recorded.  Heap k's distinct option forms
+    go straight to the canonical-form loop: no record of every move is built.
     """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
@@ -305,5 +310,6 @@ def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> 
             to_left, to_right = spec.left_ok(k), spec.right_ok(k)
             left += [k] * to_left
             right += [k] * to_right
-        memo[k] = u.canonical_form(u.make_game([memo[k - s] for s in left], [memo[k - s] for s in right]))
+        memo[k] = u.reduce(sorted({memo[k - s] for s in left}), sorted({memo[k - s] for s in right}),
+                           "canonical", u.geq)
     return memo[h]

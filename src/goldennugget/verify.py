@@ -443,8 +443,13 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
     rec.sweep("F(2n+1) - AB(i) - 3 avoids A", _not1_second())
 
     def complementarity():
+        # every x is A(n) or B(n) for exactly one n >= 1, and in_a says which
+        hits: dict[int, list[bool]] = {}
+        for n in range(1, 10**5 + 1):
+            hits.setdefault(fw.a_seq(n), []).append(True)
+            hits.setdefault(fw.b_seq(n), []).append(False)
         for x in range(1, 10**5 + 1):
-            yield fw.in_a(x) != fw.in_b(x), f"x={x}"
+            yield hits.get(x) == [fw.in_a(x)], f"x={x}"
 
     rec.sweep("A and B are complementary, x <= 10^5", complementarity())
 

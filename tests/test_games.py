@@ -236,10 +236,11 @@ def test_antichain_scan_matches_quadratic_definition(seed, count):
     rng = random.Random(seed)
     games = [_random_game(u, rng, 4) for _ in range(count)] + [rich_game(u, rng) for _ in range(count)]
     orders = [
-        (u.canonical_form, u._geq, u.geq),
-        (partial(reduced_canonical_form, u), u.cache("geq_inf"), partial(geq_inf, u)),
+        (u.canonical_form, "canonical", u.geq),
+        (partial(reduced_canonical_form, u), "rcf", partial(geq_inf, u)),
     ]
-    for form, memo, geq in orders:
+    for form, order, geq in orders:
+        beaten = u.cache(order + ":beaten-left"), u.cache(order + ":beaten-right")
 
         def maximal(options, side):
             # an option survives when no other option is at least as good for its side
@@ -251,8 +252,8 @@ def test_antichain_scan_matches_quadratic_definition(seed, count):
         for side in (0, 1):
             for start in range(len(shuffled)):
                 window = shuffled[start:start + 3]
-                assert u._undominated(window, side, memo, geq) == maximal(window, side)
-            assert u._undominated(options, side, memo, geq) == maximal(options, side)
+                assert u._undominated(window, side, geq, beaten[side]) == maximal(window, side)
+            assert u._undominated(options, side, geq, beaten[side]) == maximal(options, side)
 
 
 @settings(max_examples=60, deadline=None)

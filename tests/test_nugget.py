@@ -147,3 +147,10 @@ def test_deep_oracle_classifier_agreement():
     # stay in lockstep, and every number heap evaluates via the bit map
     failures = [detail for ok, detail in verify.oracle_classifier_agreement(Universe(), 3000) if not ok]
     assert not failures
+
+
+def test_oracle_keeps_no_record_of_every_move():
+    # heap 1000 has 1000 legal moves; the arena holds only trimmed games
+    u = Universe()
+    nugget.heap_canonical(u, 1000, bound=1000)
+    assert max(len(left) + len(right) for left, right in map(u.options, range(len(u)))) <= 16

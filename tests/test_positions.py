@@ -78,6 +78,18 @@ def test_comparison_route_matches_the_sum_definitions(shared_u, game, heaps):
         assert pos.winning_move(u, p, mover, spec) == _sum_route_winning_move(u, p, mover, spec)
 
 
+@pytest.mark.parametrize("game", ["golden", "oddeven", "beatty:sqrt2", "mod:3:L=1"])
+def test_oracle_is_the_canonical_form_of_every_move(u, game):
+    # the definition in a second Universe: the canonical form of the record
+    # holding every legal move to an earlier heap's form
+    spec, v, forms = pos.parse_spec(game), Universe(), []
+    for h in range(41):
+        raw = v.make_game([forms[h - k] for k in range(1, h + 1) if spec.left_ok(k)],
+                          [forms[h - k] for k in range(1, h + 1) if spec.right_ok(k)])
+        forms.append(v.canonical_form(raw))
+        assert u.to_text(nugget.subtraction_canonical(u, spec, h, 40)) == v.to_text(forms[h])
+
+
 def test_spec_parsing():
     assert isinstance(pos.parse_spec("golden"), pos.GoldenSpec)
     assert pos.parse_spec("golden") is nugget.GOLDEN
@@ -137,7 +149,8 @@ def test_golden_heaps_share_one_memo(u):
     assert nugget.heap_canonical(u, 12) == value
     assert nugget.heap_canonical(u, 9) == pos.position_value(u, pos.Position.parse("9b"))
     assert len(u) == size  # nothing was built twice
-    assert sorted(u._caches) == ["heaps:golden", "subtractions"]
+    oracle_tables = [name for name in u._caches if name.startswith(("heaps:", "subtractions"))]
+    assert sorted(oracle_tables) == ["heaps:golden", "subtractions"]
 
 
 def test_periodicity_probe():
