@@ -22,7 +22,7 @@ from . import nugget
 from . import positions as pos
 from . import verify as verify_mod
 from .dyadic import Dyadic
-from .games import ResourceLimitError, Universe
+from .games import ResourceLimitError, Universe, game_text
 from .rcf import reduced_canonical_form
 
 
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_value(args):
     u = Universe()
-    g = nugget.heap_canonical(u, args.heap, bound=args.oracle_bound)
-    return {"h": args.heap, "game": u.to_json_obj(g)}, u.to_text(g)
+    game = u.to_json_obj(nugget.heap_canonical(u, args.heap, bound=args.oracle_bound))
+    return {"h": args.heap, "game": game}, game_text(game)
 
 
 def cmd_rcf(args):
@@ -239,7 +239,7 @@ def cmd_verify(args):
         ignored = [f"--{flag}" for flag in given if flag not in takes]
         if ignored and args.suite != "all":
             raise ValueError(f"suite {name!r} takes no {' or '.join(ignored)}")
-        for check in verify_mod.run_suite(name, **{flag: given[flag] for flag in given.keys() & takes}):
+        for check in verify_mod.SUITES[name](**{flag: given[flag] for flag in given.keys() & takes}):
             lines.append(f"[{name}] {check.line()}")
             failed += 0 if check.ok else 1
     lines.append(f"{'OK' if not failed else 'FAILED'}: {failed} failing check(s)")

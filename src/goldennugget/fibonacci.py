@@ -254,9 +254,7 @@ def a_seq(n: int) -> int:
 
 
 def b_seq(n: int) -> int:
-    """B(n) = floor(n*phi^2) = A(n) + n."""
-    if n < 0:
-        raise ValueError(f"nonnegative integer required, got {n}")
+    """B(n) = floor(n*phi^2) = A(n) + n; A refuses a negative n."""
     return a_seq(n) + n
 
 

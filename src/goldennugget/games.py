@@ -59,10 +59,7 @@ class Universe:
         self._numbers: dict[Dyadic, GameId] = {}
         self._caches: dict[str, dict] = {}
         self._canon: dict[GameId, GameId] = self.cache("canonical")
-        self.zero: GameId = self.make_game([], [])
-        self._canon[self.zero] = self.zero
-        self._numbers[ZERO] = self.zero
-        self._numval[self.zero] = ZERO
+        self.zero: GameId = self.from_number(ZERO)
 
     def cache(self, name: str) -> dict:
         """A named memo table, with get-or-insert use: each order's tables
@@ -283,16 +280,17 @@ class Universe:
     # -- numbers -----------------------------------------------------------
 
     def from_number(self, d: Dyadic) -> GameId:
-        """The canonical-form game of a dyadic number."""
+        """The canonical-form game of a dyadic number: ``{n-1|}`` above zero,
+        ``{|n+1}`` below it, ``{|}`` at zero, and ``{d-e|d+e}`` between
+        integers, e being the unit of d's last binary place."""
         done = self._numbers.get(d)
         if done is not None:
             return done
         if d.is_integer():
             n = d.num
-            if n > 0:
-                result = self.make_game([self.from_number(Dyadic(n - 1))], [])
-            else:
-                result = self.make_game([], [self.from_number(Dyadic(n + 1))])
+            left = [self.from_number(Dyadic(n - 1))] if n > 0 else []
+            right = [self.from_number(Dyadic(n + 1))] if n < 0 else []
+            result = self.make_game(left, right)
         else:
             step = Dyadic(1, d.exp)
             result = self.make_game([self.from_number(d - step)], [self.from_number(d + step)])
@@ -304,18 +302,17 @@ class Universe:
     def _read_number(self, g: GameId) -> Dyadic | None:
         """Structural number reading, sound on any record by simplicity.
 
-        Reads ``{|} = 0``, integer chains ``{n|}`` / ``{|n}``, and
-        ``{a|b}`` with number options a < b (the simplest number between).
-        Returns None for records not of those shapes.
+        Reads integer chains ``{n|}`` / ``{|n}`` and ``{a|b}`` with number
+        options a < b (the simplest number between); the zero record ``{|}``
+        is known from :meth:`from_number`, which built it first.  Returns
+        None for records not of those shapes.
         """
         done = self._numval.get(g, _MISSING)
         if done is not _MISSING:
             return done
         left, right = self._records[g]
         value: Dyadic | None = None
-        if not left and not right:
-            value = ZERO
-        elif not right and len(left) == 1:
+        if not right and len(left) == 1:
             v = self._read_number(left[0])
             if v is not None and v.is_integer() and v.num >= 0:
                 value = v + Dyadic(1)
@@ -357,14 +354,8 @@ class Universe:
     # -- text format --------------------------------------------------------
 
     def to_text(self, g: GameId) -> str:
-        """Fully braced game text; number-shaped records print as numbers."""
-        value = self._read_number(g)
-        if value is not None:
-            return str(value)
-        left, right = self._records[g]
-        ls = ",".join(self.to_text(x) for x in left)
-        rs = ",".join(self.to_text(x) for x in right)
-        return "{" + ls + "|" + rs + "}"
+        """Fully braced game text: the JSON form written out by :func:`game_text`."""
+        return game_text(self.to_json_obj(g))
 
     def parse(self, text: str) -> GameId:
         """Parse game text; accepts ``||`` / ``|||`` slash-rank shorthand.
@@ -394,6 +385,14 @@ class Universe:
             [self.from_json_obj(x) for x in obj["L"]],
             [self.from_json_obj(x) for x in obj["R"]],
         )
+
+
+def game_text(obj) -> str:
+    """A JSON form (a number string, or ``{"L": [...], "R": [...]}``) as
+    fully braced game text, which :meth:`Universe.parse` reads back."""
+    if isinstance(obj, str):
+        return obj
+    return "{" + ",".join(map(game_text, obj["L"])) + "|" + ",".join(map(game_text, obj["R"])) + "}"
 
 
 _MISSING = object()

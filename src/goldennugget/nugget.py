@@ -21,7 +21,7 @@ from math import isqrt
 
 from . import fibonacci as fw
 from .dyadic import Dyadic, ZERO, ONE
-from .games import GameId, ResourceLimitError, Universe
+from .games import GameId, ResourceLimitError, Universe, game_text
 
 ORACLE_BOUND = 60
 
@@ -224,9 +224,7 @@ class RcfValue:
     value: Dyadic
 
     def __str__(self) -> str:
-        if self.kind == "number":
-            return str(self.value)
-        return "{1|" + str(self.value) + "}"
+        return game_text(self.to_json_obj())
 
     def to_json_obj(self):
         """The game's JSON form (see :meth:`Universe.to_json_obj`), built without a game."""

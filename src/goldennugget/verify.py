@@ -42,7 +42,12 @@ class Recorder:
         self.checks.append(Check(name, bool(ok), detail, elapsed))
 
     def sweep(self, name: str, pairs) -> None:
-        """Consume (ok, detail) tuples, recording the first failure and the time taken."""
+        """Consume (ok, detail) tuples, recording the first failure and the time taken.
+
+        The sweep stops at its first ``(False, detail)``: the generator is not
+        resumed, so it need not return after yielding a failure.  A sweep that
+        yields nothing passes, so a generator need yield only its failures.
+        """
         start = time.perf_counter()
         for ok, detail in pairs:
             if not ok:
@@ -142,7 +147,6 @@ def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
     def shapes():
         for h, r in enumerate(reduced):
             if u.as_number(r) is not None:
-                yield True, ""
                 continue
             left, right = u.options(r)
             ok = (
@@ -351,11 +355,8 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                 prefix_b.append(prefix_b[-1] + (ch == "b"))
             for start in range(len(w) - size + 1):
                 count = prefix_b[start + size] - prefix_b[start]
-                ok = count == fw.fib(n - 2)
-                if not ok:
+                if count != fw.fib(n - 2):
                     yield False, f"n={n} start={start}"
-                    return
-            yield True, ""
 
     rec.sweep("every length-F(n) factor has F(n-2) b's, n <= 20", factor_counts())
 
@@ -412,8 +413,6 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             for j in range(i, 2001):
                 if (i or j) and bs[i] + bs[j] in ab_values:
                     yield False, f"B({i})+B({j})"
-                    return
-        yield True, ""
 
     rec.sweep("B(i)+B(j) never equals AB(n), i,j,n <= 2000", bb_not_ab())
 
@@ -484,8 +483,6 @@ def _not1_first():
             diff = b2[n] - ab[i]
             if diff > 0 and bitmap[diff]:
                 yield False, f"n={n} i={i}"
-                return
-    yield True, ""
 
 
 def _not1_second():
@@ -499,15 +496,12 @@ def _not1_second():
             diff = f - ab[i] - 3
             if diff > 0 and fw.in_a(diff):
                 yield False, f"n={n} i={i}"
-                return
     for n in (100, 500, 1000, 2000):
         f = fw.fib(2 * n + 1)
         for i in range(0, 51):
             diff = f - ab[i] - 3
             if diff > 0 and fw.in_a(diff):
                 yield False, f"n={n} i={i}"
-                return
-    yield True, ""
 
 
 # -- nugget ----------------------------------------------------------------------
@@ -556,7 +550,6 @@ def suite_nugget(bound: int = 60) -> list[Check]:
             n += 1
         if len(kinds) != limit + 1:
             yield False, f"forward enumeration covered {len(kinds)} of {limit + 1}"
-            return
         for h in range(limit + 1):
             got = str(nugget.classify(h))
             yield got == kinds[h], f"h={h}: {got} vs {kinds[h]}"
@@ -592,12 +585,9 @@ def suite_nugget(bound: int = 60) -> list[Check]:
             d = nugget.xi_inverse(h)
             if nugget.xi(d) != h:
                 yield False, f"xi(xi_inverse({h})) != {h}"
-                return
             if d in seen:
                 yield False, f"collision {seen[d]} vs {h}"
-                return
             seen[d] = h
-        yield True, ""
 
     rec.sweep("xi round trip and injectivity on Q up to 10^6", xi_round_trip())
 
@@ -630,8 +620,6 @@ def suite_nugget(bound: int = 60) -> list[Check]:
                 odd = fw.z1(h1 - h2) % 2 == 1
                 if odd != (values[h2] > values[h1]):
                     yield False, f"h1={h1} h2={h2}"
-                    return
-        yield True, ""
 
     rec.sweep("z1 parity of differences decides value order on Q up to 10^4", parity_vs_order())
 
@@ -648,13 +636,10 @@ def suite_nugget(bound: int = 60) -> list[Check]:
                             break
                         if xs[hi] != xs[j + 1] + fw.fib(2 * n + k + 2):
                             yield False, f"n={n} m={m} k={k} j={j}"
-                            return
                     k += 1
                 for i in range(501):
                     if not fw.in_a(nugget.g_heap(i, n) - base):
                         yield False, f"membership n={n} m={m} i={i}"
-                        return
-        yield True, ""
 
     rec.sweep("switch-family differences recurse and stay in A", switch_recursion())
 
@@ -763,8 +748,6 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
                         after = p.replace(m.index, p.heaps[m.index][1] - m.amount)
                         if u.outcome(pos.position_value(u, after, spec, bound=15)) in wins_set:
                             yield False, f"{p} {mover} missed {m}"
-                            return
-                    yield True, ""
 
     rec.sweep("winning moves win; absent means all moves lose (heaps <= 15)", move_soundness())
 
@@ -881,8 +864,3 @@ def suite_parameters(name: str) -> set[str]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
     return set(inspect.signature(SUITES[name]).parameters)
-
-
-def run_suite(name: str, **params: int) -> list[Check]:
-    suite_parameters(name)  # rejects an unknown name
-    return SUITES[name](**params)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goldennugget import cli, nugget
 from goldennugget import fibonacci as fw
@@ -359,6 +359,9 @@ _FORMATS = st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--
 
 @settings(max_examples=150, deadline=None)
 @given(_COMMANDS, _FORMATS)
+# deep heaps in JSON, the family that once crashed, run on every pass
+@example(["rcf", str(nugget.g_heap(1, 1000))], ["--format", "json"])
+@example(["rcf", str(fw.fib(2003) - 2)], ["--format", "json"])
 def test_every_cli_input_ends_with_an_exit_code(argv, fmt):
     out, code = run(argv + fmt)
     assert code in (0, 1, 2, 3), argv + fmt

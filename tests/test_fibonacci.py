@@ -160,8 +160,9 @@ def test_inverses_reject_nonpositive_input():
         for fn in (fw.a_inverse, fw.b_inverse, fw.z1):
             with pytest.raises(ValueError, match="positive integer required"):
                 fn(y)
-    with pytest.raises(ValueError, match="nonnegative integer required"):
-        fw.a_seq(-1)
+    for fn in (fw.a_seq, fw.b_seq):
+        with pytest.raises(ValueError, match="nonnegative integer required, got -1"):
+            fn(-1)
 
 
 def test_morphism_powers():

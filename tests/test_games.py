@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldennugget import nugget
 from goldennugget.dyadic import Dyadic, ZERO, ONE
-from goldennugget.games import Outcome, Universe
+from goldennugget.games import _TOKEN_RE, Outcome, Universe, _read_game, game_text
 from goldennugget.rcf import geq_inf, reduced_canonical_form
 from goldennugget.verify import _random_game
 
@@ -210,8 +210,16 @@ def test_parse_errors(u):
 @given(st.integers(0, 2**32 - 1))
 def test_parse_reads_back_canonical_text(seed):
     u = Universe()
-    c = u.canonical_form(_random_game(u, random.Random(seed), 4))
+    rng = random.Random(seed)
+    g = _random_game(u, rng, 4)
+    c = u.canonical_form(g)
     assert u.parse(u.to_text(c)) == c
+    # at the JSON form the reader inverts the writer on any game, canonical or
+    # not; the sum's draws are shallow, since a sum's tree is about the
+    # product of its summands' trees
+    for h in (g, u.add(_random_game(u, rng, 2), _random_game(u, rng, 2))):
+        obj = u.to_json_obj(h)
+        assert _read_game(_TOKEN_RE.findall(game_text(obj))) == obj
 
 
 def test_parse_rejects_malformed_text_before_building_big_numbers(u):
