@@ -9,10 +9,12 @@ indices are provided:
   even index between any two doubled ones.
 
 The Wythoff sequences A(n) = floor(n*phi) and B(n) = A(n) + n are computed
-exactly in integers, with no floating point: A(n) = (n + isqrt(5 n^2)) // 2,
-and each inverse is one isqrt followed by a confirming forward step.  That
-A(n) is also the left shift of the least-odd representation of n, and
-B(n) the double left shift, is a property the tests check.
+exactly in integers, with no floating point: A(n) = (n + isqrt(5 n^2)) // 2.
+Each inverse is one isqrt: with s = isqrt(5 y^2), y is in B exactly when
+y + s is even and 5 (y+1)^2 < (s+3)^2 (the proof is in ``b_inverse``),
+and the index is read off s.  That A(n) is also the left shift of the
+least-odd representation of n, and B(n) the double left shift, is a
+property the tests check.
 """
 
 from __future__ import annotations
@@ -81,11 +83,14 @@ class FibRepr:
         return dict(self.terms)
 
     def validate(self) -> None:
-        """Check the invariants of this representation's kind."""
+        """Check the normal form (indices strictly descending, each used at
+        least once) and the invariants of this representation's kind."""
         idx = [i for i, _ in self.terms]
         mults = dict(self.terms)
         if not idx:
             raise ValueError("empty representation")
+        if any(a <= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"{self.kind}: indices not strictly descending")
         if self.kind in (ZECKENDORF, LEAST_ODD):
             if any(m != 1 for m in mults.values()):
                 raise ValueError(f"{self.kind}: repeated index")
@@ -100,11 +105,10 @@ class FibRepr:
             if any(i % 2 for i in mults):
                 raise ValueError("even: odd index present")
             if any(m not in (1, 2) for m in mults.values()):
-                raise ValueError("even: multiplicity above 2")
+                raise ValueError("even: multiplicity not 1 or 2")
             # doubled indices a > b with every even index between them used
             # have exactly (a - b) / 2 - 1 terms between them
-            doubled = [(i, pos) for pos, (i, m) in enumerate(sorted(mults.items(), reverse=True))
-                       if m == 2]
+            doubled = [(i, pos) for pos, (i, m) in enumerate(self.terms) if m == 2]
             for (a, pa), (b, pb) in zip(doubled, doubled[1:]):
                 if a - b == 2 * (pb - pa):
                     raise ValueError("even: no unused index between doubled terms")
@@ -197,20 +201,30 @@ def least_odd(x: int) -> FibRepr:
 
 
 def even_repr(x: int) -> FibRepr:
-    """Even representation by greedy descent on even-indexed Fibonacci numbers."""
+    """Even representation by greedy descent on even-indexed Fibonacci numbers.
+
+    Each index is used at most twice: before F(2k) is first taken the rest
+    is below F(2k+2) = 2 F(2k) + F(2k-1) <= 3 F(2k).  So the terms come out
+    in descending order, one (index, multiplicity) pair per index used.
+    """
     if x <= 0:
         raise ValueError(f"positive integer required, got {x}")
     fibs = _fibs_past(x)
     j = bisect_right(fibs, x, lo=3) - 1
     j -= 1 - j % 2  # entry j is F(j - 1): odd entries hold the even indices
-    counts: dict[int, int] = {}
+    terms = []
     rest = x
     while rest:
         while fibs[j] > rest:
             j -= 2
-        counts[j - 1] = counts.get(j - 1, 0) + 1
         rest -= fibs[j]
-    return FibRepr.from_counts(EVEN, counts)
+        if rest >= fibs[j]:
+            rest -= fibs[j]
+            terms.append((j - 1, 2))
+        else:
+            terms.append((j - 1, 1))
+        j -= 2
+    return FibRepr(EVEN, tuple(terms))
 
 
 def ze_transform(r: FibRepr) -> FibRepr:
@@ -268,24 +282,43 @@ def in_b(x: int) -> bool:
     return z1(x) % 2 == 1
 
 
-def a_inverse(y: int) -> int:
-    """The n with A(n) = y, for y in the A sequence: n = floor(y/phi) + 1."""
+def _wythoff_root(y: int) -> tuple[int, bool]:
+    """s = isqrt(5 y^2) for a positive y, and whether y is in B (see ``b_inverse``)."""
     if y <= 0:
         raise ValueError(f"positive integer required, got {y}")
-    n = (isqrt(5 * y * y) - y) // 2 + 1
-    if a_seq(n) != y:
+    s = isqrt(5 * y * y)
+    return s, (y + s) % 2 == 0 and 5 * (y + 1) ** 2 < (s + 3) ** 2
+
+
+def a_inverse(y: int) -> int:
+    """The n with A(n) = y, for y in the A sequence: n = floor(y/phi) + 1.
+
+    A and B partition the positive integers, so y is in A exactly when it
+    is not in B; then n = (s - y) // 2 + 1 with s = isqrt(5 y^2).
+    """
+    s, y_in_b = _wythoff_root(y)
+    if y_in_b:
         raise ValueError(f"{y} is not in the A sequence")
-    return n
+    return (s - y) // 2 + 1
 
 
 def b_inverse(y: int) -> int:
-    """The n with B(n) = y, for y in the B sequence: n = round(y/phi^2)."""
-    if y <= 0:
-        raise ValueError(f"positive integer required, got {y}")
-    n = (3 * y - isqrt(5 * y * y)) // 2
-    if b_seq(n) != y:
+    """The n with B(n) = y, for y in the B sequence: n = round(y/phi^2).
+
+    Let s = isqrt(5 y^2).  Then y is in B exactly when y + s is even and
+    5 (y+1)^2 < (s+3)^2, and n = (3y - s) / 2.  Proof: y = floor(n phi^2)
+    iff y/phi^2 < n < (y+1)/phi^2, and since y/phi^2 = y - y/phi such an
+    integer n exists iff frac(y/phi) < 1/phi^2; it is then n = y - floor(y/phi).
+    Write y sqrt5 = s + e with 0 < e < 1 (y sqrt5 is irrational), so that
+    y/phi = (s + e - y)/2.  If y + s is odd, frac(y/phi) = (1 + e)/2 > 1/2
+    > 1/phi^2, so y is not in B.  If y + s is even, frac(y/phi) = e/2 and
+    floor(y/phi) = (s - y)/2; and e/2 < 1/phi^2 = (3 - sqrt5)/2 is
+    sqrt5 (y+1) < s + 3, which squares to the integer test.
+    """
+    s, y_in_b = _wythoff_root(y)
+    if not y_in_b:
         raise ValueError(f"{y} is not in the B sequence")
-    return n
+    return (3 * y - s) // 2
 
 
 def compose_ab(word: str, n: int) -> int:

@@ -170,18 +170,21 @@ def xi_inverse(h: int) -> Dyadic:
     """
     if not (h > 0 and is_in_q(h)):
         raise ValueError(f"heap {h} is not a positive number heap")
-    terms = fw.even_repr(h).terms[::-1]  # (index, multiplicity), index ascending
-    if terms[0][0] == 2:
+    terms = fw.even_repr(h).terms  # (index, multiplicity), index descending
+    if terms[-1][0] == 2:
         raise AssertionError(f"even representation of {h} contains F2")
-    if terms[0][0] != 4:
+    if terms[-1][0] != 4:
         raise AssertionError(f"even representation of {h} lacks the F4 anchor")
     digits = ["0"]
+    after_zero = True  # the last digit written is 0
     e = 2
-    for index, mult in terms:
+    for index, mult in reversed(terms):
         if index > e + 2:
             digits.append("0" * ((index - e) // 2 - 1))
-        if digits[-1][-1] == "0":
+            after_zero = True
+        if after_zero:
             digits.append("10" if mult == 1 else "11")
+            after_zero = mult == 1
         elif mult == 1:
             digits.append("1")
         else:

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,20 @@ def test_even_repr_examples():
     assert fw.even_repr(102).to_ternary() == "1020001020"
 
 
+@pytest.mark.parametrize("k", [3, 4, 30, 700])
+def test_even_repr_of_doubled_and_sparse_inputs(k):
+    top = fw.fib(2 * k)
+    assert fw.even_repr(2 * top).counts() == {2 * k: 2}
+    assert fw.even_repr(2 * top + fw.fib(2 * k - 4)).counts() == {2 * k: 2, 2 * k - 4: 1}
+    for x in (2 * top, 2 * top + fw.fib(2 * k - 4), top - 1, fw.fib(2 * k + 2) - 2):
+        r = fw.even_repr(x)
+        assert r == fw.FibRepr.from_counts(fw.EVEN, r.counts()), x
+        r.validate()
+        assert r.value() == x
+        if k <= 30:
+            assert fw.ze_transform(fw.zeckendorf(x)).terms == r.terms, x
+
+
 @given(st.integers(1, 50000))
 def test_ze_transform_agrees_with_greedy(x):
     assert fw.ze_transform(fw.zeckendorf(x)).terms == fw.even_repr(x).terms
@@ -114,10 +130,20 @@ def _fast(x):
             _inverse_or_none(fw.a_inverse, x), _inverse_or_none(fw.b_inverse, x))
 
 
+def _confirmed_candidates(y):
+    """a_inverse and b_inverse as two isqrt calls each define them: the
+    candidate n, kept only when the forward step gives y back."""
+    n_a = (isqrt(5 * y * y) - y) // 2 + 1
+    n_b = (3 * y - isqrt(5 * y * y)) // 2
+    return n_a if fw.a_seq(n_a) == y else None, n_b if fw.b_seq(n_b) == y else None
+
+
 def _check_identities(x):
     indices = fw.zeckendorf(x).indices()
     shift1, shift2 = sum(_F[i - 1] for i in indices), sum(_F[i - 2] for i in indices)
-    assert _fast(x) == _expected(indices[-1], shift1, shift2), x
+    fast = _fast(x)
+    assert fast == _expected(indices[-1], shift1, shift2), x
+    assert fast[3:] == _confirmed_candidates(x), x
     # A is the left shift of the least-odd representation, B the double shift
     lo = fw.least_odd(x).indices()
     assert fw.a_seq(x) == sum(_F[i + 1] for i in lo), x
@@ -211,6 +237,14 @@ def test_even_gap_rule_matches_its_definition(counts):
     else:
         with pytest.raises(ValueError, match="no unused index"):
             r.validate()
+
+
+def test_validate_requires_the_normal_form():
+    for terms in (((4, 1), (10, 2)), ((10, 1), (10, 1)), ((10, 1), (4, 0))):
+        with pytest.raises(ValueError, match="strictly descending|multiplicity not 1 or 2"):
+            fw.FibRepr(fw.EVEN, terms).validate()
+    with pytest.raises(ValueError, match="strictly descending"):
+        fw.FibRepr(fw.ZECKENDORF, ((2, 1), (5, 1))).validate()
 
 
 def test_even_gap_rule_rejected():
