@@ -12,7 +12,6 @@ must give each thread its own Universe (the CLI uses one per process).
 from __future__ import annotations
 
 import enum
-import re
 
 from .dyadic import Dyadic, ZERO, simplest_number
 
@@ -357,14 +356,6 @@ class Universe:
         """Fully braced game text: the JSON form written out by :func:`game_text`."""
         return game_text(self.to_json_obj(g))
 
-    def parse(self, text: str) -> GameId:
-        """Parse game text; accepts ``||`` / ``|||`` slash-rank shorthand.
-
-        The whole text is read before any game is built, so malformed text
-        fails with ValueError however large its numbers are.
-        """
-        return self.from_json_obj(_read_game(_TOKEN_RE.findall(text)))
-
     # -- JSON form ------------------------------------------------------------
 
     def to_json_obj(self, g: GameId):
@@ -389,63 +380,10 @@ class Universe:
 
 def game_text(obj) -> str:
     """A JSON form (a number string, or ``{"L": [...], "R": [...]}``) as
-    fully braced game text, which :meth:`Universe.parse` reads back."""
+    fully braced game text."""
     if isinstance(obj, str):
         return obj
     return "{" + ",".join(map(game_text, obj["L"])) + "|" + ",".join(map(game_text, obj["R"])) + "}"
 
 
 _MISSING = object()
-_NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
-# numbers, pipe runs, and any other non-space character on its own
-_TOKEN_RE = re.compile(_NUMBER_RE.pattern + r"|\|+|\S")
-
-
-def _top_level(tokens: list[str]):
-    """(index, token) for each token outside every brace; an opening brace
-    at depth zero is yielded, since it starts a braced game."""
-    depth = 0
-    for pos, tok in enumerate(tokens):
-        if tok == "}":
-            depth -= 1
-            if depth < 0:
-                break
-        elif depth == 0:
-            yield pos, tok
-        if tok == "{":
-            depth += 1
-    if depth:
-        raise ValueError(f"unbalanced braces in {''.join(tokens)!r}")
-
-
-def _read_game(tokens: list[str]):
-    """One game, a number or a braced body, in the JSON form."""
-    top = list(_top_level(tokens))
-    if len(top) != 1:
-        raise ValueError(f"expected one game in {''.join(tokens)!r}")
-    tok = top[0][1]
-    if tok == "{":
-        return _read_body(tokens[1:-1])
-    if not _NUMBER_RE.fullmatch(tok):
-        raise ValueError(f"expected a game at {tok!r}")
-    Dyadic.from_str(tok)  # rejects a denominator that is not a power of two
-    return tok
-
-
-def _read_body(tokens: list[str]):
-    """Options split at the first of the longest pipe runs at depth zero."""
-    pipes = [pos for pos, tok in _top_level(tokens) if tok[0] == "|"]
-    if not pipes:
-        raise ValueError(f"no option separator in {''.join(tokens)!r}")
-    at = max(pipes, key=lambda pos: len(tokens[pos]))  # max keeps the first of equals
-    return {"L": _read_side(tokens[:at]), "R": _read_side(tokens[at + 1:])}
-
-
-def _read_side(tokens: list[str]) -> list:
-    # slash-rank shorthand: a side holding a depth-zero pipe is one
-    # undelimited subgame (its commas belong to it), not an option list
-    top = list(_top_level(tokens))
-    if any(tok[0] == "|" for _, tok in top):
-        return [_read_body(tokens)]
-    cuts = [-1] + [pos for pos, tok in top if tok == ","] + [len(tokens)]
-    return [_read_game(tokens[a + 1:b]) for a, b in zip(cuts, cuts[1:]) if b > a + 1]

@@ -18,6 +18,7 @@ from goldennugget import positions as pos
 from goldennugget import verify
 from goldennugget.games import Outcome, Universe
 from goldennugget.rcf import reduced_canonical_form
+from gametext import read_game
 
 VALUE_TABLE = {
     1: ("1", "1"),
@@ -169,8 +170,8 @@ def test_criterion_1_value_table():
     u = Universe()
     for h, (value_text, rcf_text) in VALUE_TABLE.items():
         got = nugget.heap_canonical(u, h)
-        assert got == u.canonical_form(u.parse(value_text)), f"value h={h}"
-        want = u.canonical_form(u.parse(rcf_text))
+        assert got == u.canonical_form(read_game(u, value_text)), f"value h={h}"
+        want = u.canonical_form(read_game(u, rcf_text))
         assert reduced_canonical_form(u, got) == want, f"rcf h={h}"
     assert time.time() - start < 10
 

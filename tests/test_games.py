@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from goldennugget import nugget
 from goldennugget.dyadic import Dyadic, ZERO, ONE
-from goldennugget.games import _TOKEN_RE, Outcome, Universe, _read_game, game_text
+from goldennugget.games import Outcome, Universe, game_text
 from goldennugget.rcf import geq_inf, reduced_canonical_form
 from goldennugget.verify import _random_game
+from gametext import read_game, read_obj
 
 
 @pytest.fixture
@@ -28,14 +29,24 @@ def brute_geq(u, g, h):
     return not player_wins(u, diff, "R")
 
 
+def _rand_game(u, rng, depth):
+    """Numbers in [-2, 2] with denominator at most 2, nested up to ``depth``
+    levels with at most two options a side."""
+    if depth == 0 or rng.random() < 0.35:
+        return u.from_number(Dyadic(rng.randint(-2, 2), rng.randint(0, 1)))
+    left = [_rand_game(u, rng, depth - 1) for _ in range(rng.randint(0, 2))]
+    right = [_rand_game(u, rng, depth - 1) for _ in range(rng.randint(0, 2))]
+    return u.make_game(left, right)
+
+
 def rich_game(u, rng):
     """A game nested two levels deep over a pool of values that often leaves
     options to trim or bypass: dyadics with denominator up to 4 in [-4, 4],
     plus or minus the golden heap values up to 24, star, up and down."""
     quarters = [u.from_number(Dyadic(n, 2)) for n in range(-16, 17)]
     heaps = [nugget.heap_canonical(u, h, bound=24) for h in range(25)]
-    up = u.parse("{0|{0|0}}")
-    pool = quarters + heaps + [u.negate(g) for g in heaps] + [u.parse("{0|0}"), up, u.negate(up)]
+    up = read_game(u, "{0|{0|0}}")
+    pool = quarters + heaps + [u.negate(g) for g in heaps] + [read_game(u, "{0|0}"), up, u.negate(up)]
 
     def draw(depth):
         if depth == 0 or rng.random() < 0.3:
@@ -65,9 +76,9 @@ def test_make_game_rejects_unknown_ids(u):
 def test_from_number_examples(u):
     assert u.from_number(ZERO) == u.zero
     assert u.to_text(u.from_number(Dyadic(1, 1))) == "1/2"
-    g = u.parse("{0|1}")
+    g = read_game(u, "{0|1}")
     assert u.canonical_form(g) == u.from_number(Dyadic(1, 1))
-    g34 = u.parse("{1/2|1}")
+    g34 = read_game(u, "{1/2|1}")
     assert u.canonical_form(g34) == g34
     assert g34 == u.from_number(Dyadic(3, 2))
 
@@ -76,31 +87,24 @@ def test_negate_and_add(u):
     one = u.from_number(ONE)
     assert u.negate(one) == u.from_number(Dyadic(-1))
     assert u.negate(u.negate(one)) == one
-    g = u.parse("{1|0}")
+    g = read_game(u, "{1|0}")
     assert u.add(g, u.zero) == g
-    s = u.add(g, u.parse("{0|-1}"))
+    s = u.add(g, read_game(u, "{0|-1}"))
     assert u.outcome(s) == Outcome.P  # {1|0} + {0|-1} = 0
 
 
 def test_geq_examples(u):
     one = u.from_number(ONE)
-    g10 = u.parse("{1|0}")
+    g10 = read_game(u, "{1|0}")
     assert u.geq(one, u.zero)
     assert not u.geq(one, g10) and not u.geq(g10, one)
-    assert u.geq(u.parse("{1||1|0}"), u.from_number(Dyadic(1, 1)))
+    assert u.geq(read_game(u, "{1||1|0}"), u.from_number(Dyadic(1, 1)))
 
 
 def test_geq_matches_brute_force(u):
     rng = random.Random(7)
 
-    def rand_game(depth):
-        if depth == 0 or rng.random() < 0.35:
-            return u.from_number(Dyadic(rng.randint(-2, 2), rng.randint(0, 1)))
-        left = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
-        right = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
-        return u.make_game(left, right)
-
-    games = [rand_game(3) for _ in range(40)]
+    games = [_rand_game(u, rng, 3) for _ in range(40)]
     for g in games:
         for h in games[:12]:
             assert u.geq(g, h) == brute_geq(u, g, h)
@@ -108,24 +112,17 @@ def test_geq_matches_brute_force(u):
 
 def test_outcomes(u):
     assert u.outcome(u.zero) == Outcome.P
-    assert u.outcome(u.parse("{1|0}")) == Outcome.N
+    assert u.outcome(read_game(u, "{1|0}")) == Outcome.N
     assert u.outcome(u.from_number(Dyadic(1, 1))) == Outcome.L
     assert u.outcome(u.from_number(Dyadic(-1))) == Outcome.R
-    star = u.parse("{0|0}")
+    star = read_game(u, "{0|0}")
     assert u.outcome(star) == Outcome.N
 
 
 def test_outcome_of_a_difference_matches_the_built_difference(u):
     rng = random.Random(11)
 
-    def rand_game(depth):
-        if depth == 0 or rng.random() < 0.35:
-            return u.from_number(Dyadic(rng.randint(-2, 2), rng.randint(0, 1)))
-        left = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
-        right = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
-        return u.make_game(left, right)
-
-    games = [rand_game(3) for _ in range(30)]
+    games = [_rand_game(u, rng, 3) for _ in range(30)]
     seen = set()
     for g in games:
         for h in games:
@@ -136,24 +133,24 @@ def test_outcome_of_a_difference_matches_the_built_difference(u):
 
 
 def test_stops(u):
-    assert u.stops(u.parse("{1|0}")) == (ONE, ZERO)
-    assert u.stops(u.parse("{1||1|0}")) == (ONE, ONE)
-    assert u.stops(u.parse("{1|1/2}")) == (ONE, Dyadic(1, 1))
+    assert u.stops(read_game(u, "{1|0}")) == (ONE, ZERO)
+    assert u.stops(read_game(u, "{1||1|0}")) == (ONE, ONE)
+    assert u.stops(read_game(u, "{1|1/2}")) == (ONE, Dyadic(1, 1))
     # a number in disguise: stops are the value, not the naive recursion
-    assert u.stops(u.parse("{1/4|3/4}")) == (Dyadic(1, 1), Dyadic(1, 1))
+    assert u.stops(read_game(u, "{1/4|3/4}")) == (Dyadic(1, 1), Dyadic(1, 1))
 
 
 def test_as_number(u):
-    assert u.as_number(u.parse("{0|1}")) == Dyadic(1, 1)
-    assert u.as_number(u.parse("{1|0}")) is None
-    assert u.as_number(u.parse("{{0|0}|{0|0}}")) == ZERO
-    assert u.as_number(u.parse("{|{0|0}}")) == ZERO
+    assert u.as_number(read_game(u, "{0|1}")) == Dyadic(1, 1)
+    assert u.as_number(read_game(u, "{1|0}")) is None
+    assert u.as_number(read_game(u, "{{0|0}|{0|0}}")) == ZERO
+    assert u.as_number(read_game(u, "{|{0|0}}")) == ZERO
 
 
 def test_canonical_form(u):
-    assert u.canonical_form(u.parse("{0,1|}")) == u.from_number(Dyadic(2))
-    assert u.canonical_form(u.parse("{0|0,1}")) == u.parse("{0|0}")
-    up_star = u.parse("{0,{0|0}|0}")
+    assert u.canonical_form(read_game(u, "{0,1|}")) == u.from_number(Dyadic(2))
+    assert u.canonical_form(read_game(u, "{0|0,1}")) == read_game(u, "{0|0}")
+    up_star = read_game(u, "{0,{0|0}|0}")
     assert u.canonical_form(up_star) == up_star
     # idempotence on a batch of random games
     rng = random.Random(3)
@@ -176,34 +173,36 @@ def test_stops_of_one_sided_games():
     u = Universe()
     # one-sided games always equal integers, so the stop recursion never
     # meets a non-number with an empty option set
-    assert u.stops(u.parse("{|0}")) == (Dyadic(-1), Dyadic(-1))
-    assert u.stops(u.parse("{|{0|0}}")) == (ZERO, ZERO)
+    assert u.stops(read_game(u, "{|0}")) == (Dyadic(-1), Dyadic(-1))
+    assert u.stops(read_game(u, "{|{0|0}}")) == (ZERO, ZERO)
 
 
 def test_text_round_trip(u):
     for text in ("0", "1", "-1", "1/2", "{1|0}", "{1,{1|0}|0}",
                  "{{1|{1|0}}|0,{1|0}}", "{1,{1|1/2}|1/2}"):
-        g = u.parse(text)
-        assert u.parse(u.to_text(g)) == g
+        g = read_game(u, text)
+        assert read_game(u, u.to_text(g)) == g
     # canonical games print back to themselves
-    g = u.canonical_form(u.parse("{1,{1|0}|0}"))
-    assert u.parse(u.to_text(g)) == g
+    g = u.canonical_form(read_game(u, "{1,{1|0}|0}"))
+    assert read_game(u, u.to_text(g)) == g
 
 
 def test_parse_shorthand(u):
-    assert u.parse("{1||1|0}") == u.parse("{1|{1|0}}")
-    assert u.parse("{1||1|0|||0,{1|0}}") == u.parse("{{1|{1|0}}|0,{1|0}}")
-    deep = u.parse("{1||1|0||||1||1|0|||0,{1|0}}")
-    assert deep == u.parse("{{1|{1|0}}|{{1|{1|0}}|0,{1|0}}}")
-    assert u.parse("{1|{1|0},{1||1|0}||{1|0},{1||1|0}}") == u.parse(
-        "{{1|{1|0},{1|{1|0}}}|{1|0},{1|{1|0}}}"
+    assert read_game(u, "{1||1|0}") == read_game(u, "{1|{1|0}}")
+    assert read_game(u, "{1||1|0|||0,{1|0}}") == read_game(u, "{{1|{1|0}}|0,{1|0}}")
+    # of equally long runs, the first splits
+    assert read_game(u, "{1|0|-1}") == read_game(u, "{1|{0|-1}}")
+    deep = read_game(u, "{1||1|0||||1||1|0|||0,{1|0}}")
+    assert deep == read_game(u, "{{1|{1|0}}|{{1|{1|0}}|0,{1|0}}}")
+    assert read_game(u, "{1|{1|0},{1||1|0}||{1|0},{1||1|0}}") == read_game(
+        u, "{{1|{1|0},{1|{1|0}}}|{1|0},{1|{1|0}}}"
     )
 
 
 def test_parse_errors(u):
-    for bad in ("{1|", "1/3", "{1|0} junk", "{a|b}"):
+    for bad in ("{1|", "1/3", "{1|0} junk", "{a|b}", "{1 2|0}", "{0|{1|0}{0|1}}"):
         with pytest.raises(ValueError):
-            u.parse(bad)
+            read_game(u, bad)
 
 
 @settings(max_examples=80, deadline=None)
@@ -213,24 +212,24 @@ def test_parse_reads_back_canonical_text(seed):
     rng = random.Random(seed)
     g = _random_game(u, rng, 4)
     c = u.canonical_form(g)
-    assert u.parse(u.to_text(c)) == c
+    assert read_game(u, u.to_text(c)) == c
     # at the JSON form the reader inverts the writer on any game, canonical or
     # not; the sum's draws are shallow, since a sum's tree is about the
     # product of its summands' trees
     for h in (g, u.add(_random_game(u, rng, 2), _random_game(u, rng, 2))):
         obj = u.to_json_obj(h)
-        assert _read_game(_TOKEN_RE.findall(game_text(obj))) == obj
+        assert read_obj(game_text(obj)) == obj
 
 
 def test_parse_rejects_malformed_text_before_building_big_numbers(u):
     for bad in (" 2000,", "{1023|0}}", "1032|/", "{2000|1/3}"):
         with pytest.raises(ValueError):
-            u.parse(bad)
+            read_game(u, bad)
 
 
 def test_json_round_trip(u):
     for text in ("0", "1/2", "{1|0}", "{1,{1|0}|0,{1,{1|0}|0}}"):
-        g = u.parse(text)
+        g = read_game(u, text)
         assert u.from_json_obj(u.to_json_obj(g)) == g
 
 

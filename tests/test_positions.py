@@ -5,6 +5,7 @@ from goldennugget import nugget
 from goldennugget import positions as pos
 from goldennugget.dyadic import Dyadic
 from goldennugget.games import Outcome, ResourceLimitError, Universe
+from gametext import read_game
 
 
 @pytest.fixture
@@ -139,7 +140,7 @@ def test_cs_outcomes_examples():
 
 def test_odd_even_values(u):
     assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 1, nugget.ORACLE_BOUND) == u.from_number(Dyadic(1))
-    assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 2, nugget.ORACLE_BOUND) == u.parse("{1|0}")
+    assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 2, nugget.ORACLE_BOUND) == read_game(u, "{1|0}")
     assert nugget.subtraction_canonical(u, pos.ODD_EVEN, 5, nugget.ORACLE_BOUND) == u.from_number(Dyadic(1, 2))
 
 

@@ -4,6 +4,7 @@ from goldennugget.dyadic import Dyadic, ONE
 from goldennugget.games import Universe
 from goldennugget.nugget import heap_canonical
 from goldennugget.rcf import eq_inf, geq_inf, reduced_canonical_form
+from gametext import read_game
 
 
 @pytest.fixture
@@ -13,12 +14,12 @@ def u():
 
 def test_geq_inf_examples(u):
     one = u.from_number(ONE)
-    g10 = u.parse("{1|0}")
+    g10 = read_game(u, "{1|0}")
     assert geq_inf(u, one, g10)
     assert not geq_inf(u, g10, one)
     # the stop computation behind the negative case
     assert u.stops(u.add(g10, u.negate(one)))[1] == Dyadic(-1)
-    half_switch = u.parse("{1/2|0}")
+    half_switch = read_game(u, "{1/2|0}")
     assert geq_inf(u, half_switch, u.zero)
     assert not geq_inf(u, u.zero, half_switch)
 
@@ -27,14 +28,14 @@ def test_eq_inf_examples(u):
     g4 = heap_canonical(u, 4)
     assert u.to_text(g4) == "{1|{1|0}}"
     assert eq_inf(u, g4, u.from_number(ONE))
-    star = u.parse("{0|0}")
+    star = read_game(u, "{0|0}")
     assert eq_inf(u, u.zero, star)
     assert not eq_inf(u, u.from_number(Dyadic(1, 1)), u.from_number(ONE))
 
 
 def test_rcf_examples(u):
     assert reduced_canonical_form(u, heap_canonical(u, 4)) == u.from_number(ONE)
-    g10 = u.parse("{1|0}")
+    g10 = read_game(u, "{1|0}")
     assert reduced_canonical_form(u, heap_canonical(u, 7)) == g10
     assert reduced_canonical_form(u, heap_canonical(u, 20)) == g10
     assert reduced_canonical_form(u, g10) == g10
@@ -43,8 +44,8 @@ def test_rcf_examples(u):
 def test_rcf_of_numbers_and_infinitesimals(u):
     half = u.from_number(Dyadic(1, 1))
     assert reduced_canonical_form(u, half) == half
-    star = u.parse("{0|0}")
-    up = u.parse("{0|{0|0}}")
+    star = read_game(u, "{0|0}")
+    up = read_game(u, "{0|{0|0}}")
     assert reduced_canonical_form(u, star) == u.zero
     assert reduced_canonical_form(u, up) == u.zero
     # number plus infinitesimal reduces to the number
@@ -60,4 +61,4 @@ def test_rcf_of_numbers_and_infinitesimals(u):
 def test_rcf_bypasses_inf_reversible_options(u, text, reduced):
     # each game is its own canonical form; its reduced form bypasses an
     # Inf-reversible option
-    assert u.to_text(reduced_canonical_form(u, u.parse(text))) == reduced
+    assert u.to_text(reduced_canonical_form(u, read_game(u, text))) == reduced
