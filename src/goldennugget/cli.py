@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -252,8 +253,11 @@ def _render(result, fmt: str) -> str:
         if fmt == "json":
             rows = [dict(zip(result.header, row)) for row in result.rows]
             return json.dumps({result.key: rows}, indent=2) + "\n"
-        sep = "," if fmt == "csv" else "\t"
-        return "\n".join(sep.join(row) for row in [result.header, *result.rows]) + "\n"
+        if fmt == "csv":
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([result.header, *result.rows])
+            return buffer.getvalue()
+        return "\n".join("\t".join(row) for row in [result.header, *result.rows]) + "\n"
     payload, text = result
     if fmt != "json":
         return text + "\n"

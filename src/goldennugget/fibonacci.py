@@ -135,24 +135,14 @@ class FibRepr:
 
 
 def parse_repr(text: str, kind: str = ZECKENDORF) -> FibRepr:
-    """Parse sum notation ``F11+F8+F5+F3`` (for even kind, also a ternary digit string)."""
-    text = text.strip()
-    if kind == EVEN and text.isdigit():
-        counts: Counter[int] = Counter()
-        for pos, ch in enumerate(reversed(text), start=1):
-            if ch not in "012":
-                raise ValueError(f"bad ternary digit {ch!r}")
-            if ch != "0":
-                counts[pos] += int(ch)
-        r = FibRepr.from_counts(kind, counts)
-    else:
-        counts = Counter()
-        for part in text.split("+"):
-            part = part.strip()
-            if not part.startswith("F"):
-                raise ValueError(f"bad term {part!r}")
-            counts[int(part[1:])] += 1
-        r = FibRepr.from_counts(kind, counts)
+    """Parse sum notation ``F11+F8+F5+F3``, as ``FibRepr.to_text`` writes it."""
+    counts: Counter[int] = Counter()
+    for part in text.strip().split("+"):
+        part = part.strip()
+        if not part.startswith("F"):
+            raise ValueError(f"bad term {part!r}")
+        counts[int(part[1:])] += 1
+    r = FibRepr.from_counts(kind, counts)
     r.validate()
     return r
 

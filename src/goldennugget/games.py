@@ -6,7 +6,7 @@ structural equality is id equality.  All comparisons, canonical forms,
 stops and arithmetic are computed exactly and memoized on ids.
 
 The Universe is single-threaded by design: callers that want parallelism
-must give each thread its own Universe (the CLI uses one per process).
+must give each thread its own Universe (each CLI command builds its own).
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ class Outcome(enum.Enum):
     R = "R"
     N = "N"
     P = "P"
-
-    def __str__(self) -> str:
-        return self.value
 
     @classmethod
     def from_wins(cls, left_first: bool, right_first: bool) -> "Outcome":

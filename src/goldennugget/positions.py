@@ -10,8 +10,7 @@ share one outcome recursion and one value oracle.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import nugget
 from .games import GameId, Outcome, Universe
@@ -72,22 +71,6 @@ class Move:
 # -- game specs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetSpec(CSGameSpec):
-    """A spec other than golden: its normalized literal and Left's membership test.
-
-    The name is the spec's identity (equality, hash, and the universe's memo
-    key), so it must be the normalized literal of ``member``, as ``parse_spec``
-    builds it; Right's set is the complement.
-    """
-
-    name: str
-    member: Callable[[int], bool] = field(compare=False)
-
-    def left_ok(self, k: int) -> bool:
-        return self.member(k)
-
-
 def parse_spec(text: str) -> CSGameSpec:
     """Parse a spec literal: golden, oddeven, beatty:sqrt2, mod:3:L=1,2, explicit:L={...}."""
     text = text.strip()
@@ -116,7 +99,7 @@ def parse_spec(text: str) -> CSGameSpec:
             n = math.isqrt(root * k * k) // root + 1
             return root * n * n < (k + 1) * (k + 1)
 
-        return SetSpec(f"beatty:sqrt{root}", beatty)
+        return CSGameSpec(f"beatty:sqrt{root}", beatty)
     if text.startswith("mod:"):
         parts = text.split(":", 2)
         if len(parts) < 3 or not parts[2].startswith("L="):
@@ -127,7 +110,7 @@ def parse_spec(text: str) -> CSGameSpec:
             raise ValueError("modulus must be at least 2")
         if not all(0 <= r < modulus for r in residues):
             raise ValueError("residues out of range")
-        return SetSpec(f"mod:{modulus}:L={joined(residues)}", lambda k: k % modulus in residues)
+        return CSGameSpec(f"mod:{modulus}:L={joined(residues)}", lambda k: k % modulus in residues)
     if text.startswith("explicit:L={") and text.endswith("}"):
         left_set = frozenset(whole(k) for k in text[len("explicit:L={"):-1].split(",") if k.strip())
         limit = max(left_set, default=1)  # Right's set is the complement up to here
@@ -139,7 +122,7 @@ def parse_spec(text: str) -> CSGameSpec:
                 raise ValueError(f"{k} beyond the bounded range {limit}")
             return k in left_set
 
-        return SetSpec(f"explicit:L={{{joined(left_set)}}}", explicit)
+        return CSGameSpec(f"explicit:L={{{joined(left_set)}}}", explicit)
     raise ValueError(f"unknown game spec {text!r}")
 
 

@@ -490,21 +490,27 @@ def _not1_second():
     # Zeckendorf tail has already stabilized (z1(F(2n+1) - c) is constant
     # once F(2n-1) > c), plus spot checks at large n to witness stability
     ab = [fw.compose_ab("AB", i) for i in range(2001)]
-    for n in range(2, 31):
+    for n, top in [(n, 2000) for n in range(2, 31)] + [(n, 50) for n in (100, 500, 1000, 2000)]:
         f = fw.fib(2 * n + 1)
-        for i in range(0, 2001):
-            diff = f - ab[i] - 3
-            if diff > 0 and fw.in_a(diff):
-                yield False, f"n={n} i={i}"
-    for n in (100, 500, 1000, 2000):
-        f = fw.fib(2 * n + 1)
-        for i in range(0, 51):
+        for i in range(top + 1):
             diff = f - ab[i] - 3
             if diff > 0 and fw.in_a(diff):
                 yield False, f"n={n} i={i}"
 
 
 # -- nugget ----------------------------------------------------------------------
+
+
+# The paper's partition table, columns 0-14; None where a row has no column 0
+PARTITION_TABLE = {
+    "b": [None, 2, 5, 7, 10, 13, 15, 18, 20, 23, 26, 28, 31, 34, 36],
+    "ab0": [0, 3, 8, 11, 16, 21, 24, 29, 32, 37, 42, 45, 50, 55, 58],
+    "ab-hat": [1, 4, 9, 12, 17, 22, 25, 30, 33, 38, 43, 46, 51, 56, 59],
+    "b2-hat": [None, 6, 14, 19, 27, 35, 40, 48, 53, 61, 69, 74, 82, 90, 95],
+    "g1": [3, 8, 16, 21, 29, 37, 42, 50, 55, 63, 71, 76, 84, 92, 97],
+    "g2": [11, 24, 45, 58, 79, 100, 113, 134, 147, 168, 189, 202, 223, 244, 257],
+    "g3": [32, 66, 121, 155, 210, 265, 299, 354, 388, 443, 498, 532, 587, 642, 676],
+}
 
 
 def oracle_classifier_agreement(u: Universe, bound: int):
@@ -556,26 +562,16 @@ def suite_nugget(bound: int = 60) -> list[Check]:
 
     rec.sweep("classify matches forward enumeration, h <= 10^5", partition())
 
-    table3 = {
-        "b": [None, 2, 5, 7, 10, 13, 15, 18, 20, 23, 26, 28, 31, 34, 36],
-        "ab0": [0, 3, 8, 11, 16, 21, 24, 29, 32, 37, 42, 45, 50, 55, 58],
-        "ab-hat": [1, 4, 9, 12, 17, 22, 25, 30, 33, 38, 43, 46, 51, 56, 59],
-        "b2-hat": [None, 6, 14, 19, 27, 35, 40, 48, 53, 61, 69, 74, 82, 90, 95],
-        "g1": [3, 8, 16, 21, 29, 37, 42, 50, 55, 63, 71, 76, 84, 92, 97],
-        "g2": [11, 24, 45, 58, 79, 100, 113, 134, 147, 168, 189, 202, 223, 244, 257],
-        "g3": [32, 66, 121, 155, 210, 265, 299, 354, 388, 443, 498, 532, 587, 642, 676],
-    }
-
     def partition_rows():
         for k in range(1, 15):
-            yield fw.b_seq(k) == table3["b"][k], f"B col {k}"
+            yield fw.b_seq(k) == PARTITION_TABLE["b"][k], f"B col {k}"
         for k in range(15):
-            yield fw.compose_ab("AB", k) == table3["ab0"][k], f"AB0 col {k}"
-            yield fw.compose_ab("AB", k) + 1 == table3["ab-hat"][k], f"ABhat col {k}"
+            yield fw.compose_ab("AB", k) == PARTITION_TABLE["ab0"][k], f"AB0 col {k}"
+            yield fw.compose_ab("AB", k) + 1 == PARTITION_TABLE["ab-hat"][k], f"ABhat col {k}"
             for n in (1, 2, 3):
-                yield nugget.g_heap(k, n) == table3[f"g{n}"][k], f"G({n}) col {k}"
+                yield nugget.g_heap(k, n) == PARTITION_TABLE[f"g{n}"][k], f"G({n}) col {k}"
         for k in range(1, 15):
-            yield fw.compose_ab("BB", k) + 1 == table3["b2-hat"][k], f"B2hat col {k}"
+            yield fw.compose_ab("BB", k) + 1 == PARTITION_TABLE["b2-hat"][k], f"B2hat col {k}"
 
     rec.sweep("partition table rows reproduce", partition_rows())
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from goldennugget import cli, nugget
+from goldennugget import cli, nugget, verify
 from goldennugget import fibonacci as fw
 from goldennugget import positions as pos
 from goldennugget.games import Universe
@@ -116,6 +118,26 @@ def test_sequences_table():
     assert lines[1] == "A,0,1,3,4,6,8,9,11,12,14,16,17,19,21,22"
     assert lines[2] == "B,0,2,5,7,10,13,15,18,20,23,26,28,31,34,36"
     assert lines[5] == "W,b,a,b,a,a,b,a,b,a,a,b,a,a,b,a"
+
+
+def test_partition_table_is_the_papers():
+    out, code = run(["table", "--kind", "partition", "--max", "14"])
+    rows = [line.split("\t")[1:] for line in out.splitlines()[1:]]
+    paper = [["." if n is None else str(n) for n in row] for row in verify.PARTITION_TABLE.values()]
+    assert code == 0 and rows == paper
+
+
+@pytest.mark.parametrize("argv", [["table", "--kind", kind, "--max", "20"]
+                                  for kind in ("values", "rcf", "partition", "numbers", "sequences")]
+                         + [["outcomes", "--game", "golden", "--max", "20"]],
+                         ids=lambda argv: argv[2] if argv[0] == "table" else argv[0])
+def test_csv_rows_are_the_text_rows(argv):
+    # fields such as {1,{1|0}|0} or the moves 3,2 hold commas, so they are quoted
+    text, _ = run(argv)
+    out, code = run(argv + ["--format", "csv"])
+    header, *rows = csv.reader(io.StringIO(out))
+    assert code == 0 and all(len(row) == len(header) for row in rows)
+    assert [header, *rows] == [line.split("\t") for line in text.splitlines()]
 
 
 def test_solve_command():

@@ -12,11 +12,6 @@ from goldennugget.verify import _random_game
 from gametext import read_game, read_obj
 
 
-@pytest.fixture
-def u():
-    return Universe()
-
-
 def player_wins(u, g, mover):
     """Plain alternating-play search, independent of the memoized order logic."""
     options = u.options(g)[0 if mover == "L" else 1]

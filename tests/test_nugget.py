@@ -34,9 +34,6 @@ def test_value_ladders():
 
 
 def test_g_heap_rows():
-    assert [nugget.g_heap(i, 1) for i in range(3)] == [3, 8, 16]
-    assert nugget.g_heap(2, 2) == 45
-    assert nugget.g_heap(0, 3) == 32
     for n in range(1, 7):
         for i in range(50):
             assert nugget.g_heap(i, n) == fw.compose_ab("B" * (n + 1), i) + fw.fib(2 * n + 3) - 2
