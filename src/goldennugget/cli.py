@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("rcf", cmd_rcf, "reduced canonical form of a heap").add_argument("heap", type=int)
     command("classify", cmd_classify, "partition class of a heap").add_argument("heap", type=int)
     command("number", cmd_number, "heap value via the bit map, with binary expansion").add_argument("heap", type=int)
-    command("xi", cmd_xi, "heap size for a binary fraction in [1/2, 1]").add_argument("fraction")
+    command("xi", cmd_xi, "heap whose value is a binary fraction: 1, s(n) or in (2/3, 1)").add_argument("fraction")
 
     p = command("repr", cmd_repr, "Fibonacci representation of an integer")
     p.add_argument("x", type=int)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -309,6 +310,14 @@ def b_inverse(y: int) -> int:
     if not y_in_b:
         raise ValueError(f"{y} is not in the B sequence")
     return (3 * y - s) // 2
+
+
+def values_upto(f: Callable[[int], int], limit: int) -> Iterator[int]:
+    """f(1), f(2), ... while each value is at most ``limit``, for an increasing f."""
+    n = 1
+    while (value := f(n)) <= limit:
+        yield value
+        n += 1
 
 
 def compose_ab(word: str, n: int) -> int:

@@ -164,7 +164,7 @@ class Universe:
         result = self._canon[g] = self.reduce(ls, rs, "canonical", self.geq)
         return result
 
-    def reduce(self, ls: list[GameId], rs: list[GameId], order: str, geq, keep=None) -> GameId:
+    def reduce(self, ls: list[GameId], rs: list[GameId], order: str, geq) -> GameId:
         """The fixed point of trimming and bypassing ``{ls | rs}`` under an order.
 
         ``ls`` and ``rs`` are sorted lists of distinct forms of the order:
@@ -173,8 +173,7 @@ class Universe:
         table ``order``, where each fixed point maps to itself, and the Left
         and Right "beaten by" tables of :meth:`_undominated`.  Until a
         fixed point, dominated options are removed and every reversible
-        option is bypassed, each bypass only when ``keep`` (if given)
-        accepts the game it makes.
+        option is bypassed.
 
         Trimming first is exact: the trimmed game equals the untrimmed one
         under the order, so an option reverses through the one as through
@@ -199,6 +198,11 @@ class Universe:
         recorded beater is present: that option is not maximal, and since
         the strict order is transitive, removing it leaves the maximal set
         as it was.
+
+        An Inf-bypass never makes a number, so it takes no guard: the
+        reduced form runs this loop only on games with unequal stops, each
+        game made here equals that game under ``>=_Inf`` and so has its
+        stops (an infinitesimal moves neither), and a number's stops are equal.
         """
         done = self.cache(order)
         beaten = self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right")
@@ -212,7 +216,7 @@ class Universe:
                 return result
             if game is None:
                 game = current
-            bypassed = self._bypass(game, ls, rs, geq, keep)
+            bypassed = self._bypass(game, ls, rs, geq)
             if bypassed is None:
                 done[current] = current
                 return current
@@ -249,28 +253,27 @@ class Universe:
                 survivors = kept
         return survivors
 
-    def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], geq, keep):
+    def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], geq):
         # one pass: an option on `side` (0 Left, 1 Right) is reversible
         # through any of its opposite-side options `back` with back <= game
-        # (Left) or back >= game (Right); each one found whose bypass `keep`
-        # accepts is replaced by back's options, which are tested in the
-        # same pass.  The new (ls, rs), or None when nothing was bypassed.
+        # (Left) or back >= game (Right); each one found is replaced by
+        # back's options, which are tested in the same pass.  The new
+        # (ls, rs), or None when nothing was bypassed.
         records = self._records
         sides = [set(ls), set(rs)]
         bypassed = False
-        for side in (0, 1):
-            work = sorted(sides[side], reverse=True)
+        for side, options in enumerate(sides):
+            work = sorted(options, reverse=True)
             while work:
                 a = work.pop()
                 for back in records[a][1 - side]:
                     if geq(back, game) if side else geq(game, back):
-                        fresh = [x for x in records[back][side] if x not in sides[side]]
-                        trial = sides[:]
-                        trial[side] = sides[side].difference((a,)).union(fresh)
-                        if keep is None or keep(self.make_game(*trial)):
-                            sides, bypassed = trial, True
-                            work += fresh
-                            break
+                        fresh = [x for x in records[back][side] if x not in options]
+                        options.discard(a)
+                        options.update(fresh)
+                        work += fresh
+                        bypassed = True
+                        break
         return [sorted(options) for options in sides] if bypassed else None
 
     # -- numbers -----------------------------------------------------------

@@ -139,14 +139,17 @@ def is_in_q(h: int) -> bool:
 
 
 def xi(d: Dyadic) -> int:
-    """Map a binary fraction in [1/2, 1] to its heap size.
+    """Map a positive heap value to the least heap of that value.
 
-    Digit i contributes F(e(i)) when set, where e(0) = 2, e(1) = 4, and
-    e(i) repeats e(i-1) exactly after a 01 digit pair, else advances by 2.
-    The resulting multiset is the even Fibonacci representation.
+    xi takes 1, s(n) for n >= 1 (the g0 heaps) and each dyadic strictly
+    between 2/3 and 1 (the b2-hat heaps); no other positive d is a heap's
+    value.  Digit i contributes F(e(i)) when set, where e(0) = 2, e(1) = 4,
+    and e(i) repeats e(i-1) exactly after a 01 digit pair, else advances by
+    2.  The resulting multiset is the even Fibonacci representation.
     """
-    if not (Dyadic(1, 1) <= d <= ONE):
-        raise ValueError(f"xi needs a dyadic in [1/2, 1], got {d}")
+    between = 2 << d.exp < 3 * d.num < 3 << d.exp  # 2/3 < d < 1
+    if not (between or d == ONE or d.exp % 2 and d == s_val((d.exp + 1) // 2)):
+        raise ValueError(f"xi takes 1, s(n) for n >= 1, or a dyadic in (2/3, 1), got {d}")
     bits = d.binary().replace(".", "")  # digits d0 d1 ... dk
     total = 0
     e = 2
@@ -203,19 +206,8 @@ def number_value(h: int) -> Dyadic:
 
 def q_members(limit: int) -> list[int]:
     """All positive heaps in Q = (B^2 + 1) union {F(2n+3) - 2} up to limit."""
-    out = set()
-    n = 1
-    while True:
-        v = fw.compose_ab("BB", n) + 1
-        if v > limit:
-            break
-        out.add(v)
-        n += 1
-    n = 1
-    while fw.fib(2 * n + 3) - 2 <= limit:
-        out.add(fw.fib(2 * n + 3) - 2)
-        n += 1
-    return sorted(out)
+    b2_hat = fw.values_upto(lambda n: fw.compose_ab("BB", n) + 1, limit)
+    return sorted({*b2_hat, *fw.values_upto(lambda n: g_heap(0, n), limit)})
 
 
 # -- values ------------------------------------------------------------------

@@ -48,9 +48,7 @@ def reduced_canonical_form(u: Universe, g: GameId) -> GameId:
         left, right = u.options(c)
         ls = sorted({reduced_canonical_form(u, x) for x in left})
         rs = sorted({reduced_canonical_form(u, x) for x in right})
-        # an Inf-bypass is valid only while the game it makes is not a number
-        result = u.reduce(ls, rs, "rcf", partial(geq_inf, u),
-                          keep=lambda bypassed: u.as_number(bypassed) is None)
+        result = u.reduce(ls, rs, "rcf", partial(geq_inf, u))
     cache[c] = result
     cache[result] = result
     return result

@@ -217,18 +217,6 @@ def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
 # -- fibonacci ------------------------------------------------------------------
 
 
-def _a_bitmap(limit: int) -> bytearray:
-    """bitmap[x] = 1 iff x is in the A sequence, for 0 <= x <= limit."""
-    bits = bytearray(limit + 1)
-    n = 1
-    while True:
-        a = fw.a_seq(n)
-        if a > limit:
-            return bits
-        bits[a] = 1
-        n += 1
-
-
 def suite_fibonacci(seed: int = 0) -> list[Check]:
     rec = Recorder()
     rng = random.Random(seed)
@@ -400,15 +388,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
 
     def bb_not_ab():
         bs = [fw.b_seq(i) for i in range(2001)]
-        top = 2 * bs[-1]
-        ab_values = set()
-        n = 1
-        while True:
-            v = fw.compose_ab("AB", n)
-            if v > top:
-                break
-            ab_values.add(v)
-            n += 1
+        ab_values = set(fw.values_upto(lambda n: fw.compose_ab("AB", n), 2 * bs[-1]))
         for i in range(2001):
             for j in range(i, 2001):
                 if (i or j) and bs[i] + bs[j] in ab_values:
@@ -477,11 +457,10 @@ def _not1_first():
     bs = [fw.b_seq(i) for i in range(2001)]
     b2 = [fw.b_seq(b) for b in bs]
     ab = [fw.a_seq(b) for b in bs]
-    bitmap = _a_bitmap(b2[-1])
+    a_values = set(fw.values_upto(fw.a_seq, b2[-1]))
     for n in range(1, 2001):
         for i in range(1, 2001):
-            diff = b2[n] - ab[i]
-            if diff > 0 and bitmap[diff]:
+            if b2[n] - ab[i] in a_values:
                 yield False, f"n={n} i={i}"
 
 
@@ -530,34 +509,18 @@ def suite_nugget(bound: int = 60) -> list[Check]:
 
     def partition():
         limit = 10**5
-        kinds: dict[int, str] = {0: "zero"}
-        n = 1
-        while fw.b_seq(n) <= limit:
-            kinds[fw.b_seq(n)] = "b"
-            n += 1
-        n = 0
-        while True:
-            v = fw.compose_ab("AB", n) + 1
-            if v > limit:
-                break
-            kinds[v] = "ab-hat"
-            n += 1
-        n = 1
-        while fw.compose_ab("BB", n) + 1 <= limit:
-            kinds[fw.compose_ab("BB", n) + 1] = "b2-hat"
-            n += 1
-        n = 1
-        while nugget.g_heap(0, n) <= limit:
-            kinds[nugget.g_heap(0, n)] = f"g0(n={n})"
-            i = 1
-            while nugget.g_heap(i, n) <= limit:
-                kinds[nugget.g_heap(i, n)] = f"g-switch(n={n},i={i})"
-                i += 1
-            n += 1
+        kinds = {0: nugget.HeapClass("zero")}
+        for kind, f in (("b", fw.b_seq), ("ab-hat", lambda n: fw.compose_ab("AB", n - 1) + 1),
+                        ("b2-hat", lambda n: fw.compose_ab("BB", n) + 1)):
+            kinds.update(dict.fromkeys(fw.values_upto(f, limit), nugget.HeapClass(kind)))
+        for n, g0 in enumerate(fw.values_upto(lambda n: nugget.g_heap(0, n), limit), 1):
+            kinds[g0] = nugget.HeapClass("g0", n=n)
+            for i, h in enumerate(fw.values_upto(lambda i: nugget.g_heap(i, n), limit), 1):
+                kinds[h] = nugget.HeapClass("g-switch", n=n, i=i)
         if len(kinds) != limit + 1:
             yield False, f"forward enumeration covered {len(kinds)} of {limit + 1}"
         for h in range(limit + 1):
-            got = str(nugget.classify(h))
+            got = nugget.classify(h)
             yield got == kinds[h], f"h={h}: {got} vs {kinds[h]}"
 
     rec.sweep("classify matches forward enumeration, h <= 10^5", partition())
@@ -690,6 +653,18 @@ def brute_position_outcome(spec: nugget.CSGameSpec, p: pos.Position) -> Outcome:
     return Outcome.from_wins(wins(p.heaps, "L"), wins(p.heaps, "R"))
 
 
+def sum_route_winning_move(u: Universe, p: pos.Position, mover: str, spec: nugget.CSGameSpec,
+                           bound: int = nugget.ORACLE_BOUND) -> pos.Move | None:
+    """The definition ``pos.winning_move`` must meet: the first legal move
+    after which the sum's outcome is a win for the mover, or None."""
+    wins = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
+    for move in pos.legal_moves(spec, p, mover):
+        after = p.replace(move.index, p.heaps[move.index][1] - move.amount)
+        if u.outcome(pos.position_value(u, after, spec, bound)) in wins:
+            return move
+    return None
+
+
 def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
     rec = Recorder()
     u = Universe()
@@ -733,17 +708,9 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
                         small.append(pos.Position(((ca, a), (cb, b))))
         for p in small:
             for mover in ("L", "R"):
-                wins_set = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
                 move = pos.winning_move(u, p, mover, spec, bound=15)
-                # judged by the sum's outcome, not by the comparison route winning_move takes
-                if move is not None:
-                    after = p.replace(move.index, p.heaps[move.index][1] - move.amount)
-                    yield u.outcome(pos.position_value(u, after, spec, bound=15)) in wins_set, f"{p} {mover}"
-                else:
-                    for m in pos.legal_moves(spec, p, mover):
-                        after = p.replace(m.index, p.heaps[m.index][1] - m.amount)
-                        if u.outcome(pos.position_value(u, after, spec, bound=15)) in wins_set:
-                            yield False, f"{p} {mover} missed {m}"
+                want = sum_route_winning_move(u, p, mover, spec, bound=15)
+                yield move == want, f"{p} {mover}: {move} vs {want}"
 
     rec.sweep("winning moves win; absent means all moves lose (heaps <= 15)", move_soundness())
 

@@ -70,6 +70,19 @@ def test_xi_inverse_examples():
         nugget.xi_inverse(2)  # heap 2 is in B, not a number heap
 
 
+def test_xi_accepts_exactly_the_positive_heap_values():
+    # xi's digit i adds at most F(2i+2), so a value with denominator at most
+    # 2^12 belongs to a heap below F(27)
+    values = {nugget.number_value(h) for h in [1] + nugget.q_members(fw.fib(27))}
+    for num in range(2**12 + 1):
+        d = Dyadic(num, 12)
+        if d in values:
+            assert nugget.number_value(nugget.xi(d)) == d
+        else:
+            with pytest.raises(ValueError):
+                nugget.xi(d)
+
+
 def test_heap_rcf_examples():
     assert str(nugget.heap_rcf(20)) == "{1|0}"
     assert str(nugget.heap_rcf(16)) == "{1|1/2}"

@@ -5,6 +5,7 @@ from goldennugget import nugget
 from goldennugget import positions as pos
 from goldennugget.dyadic import Dyadic
 from goldennugget.games import Outcome, ResourceLimitError, Universe
+from goldennugget.verify import sum_route_winning_move
 
 
 def test_position_parse_and_text():
@@ -45,16 +46,6 @@ def test_winning_move_tiebreak_order(u):
     assert pos.winning_move(u, pos.Position.parse("0b"), "L") is None
 
 
-def _sum_route_winning_move(u, p, mover, spec):
-    """The definition: the first legal move whose after-position's sum outcome the mover wins."""
-    wins = (Outcome.L, Outcome.P) if mover == "L" else (Outcome.R, Outcome.P)
-    for move in pos.legal_moves(spec, p, mover):
-        after = p.replace(move.index, p.heaps[move.index][1] - move.amount)
-        if u.outcome(pos.position_value(u, after, spec)) in wins:
-            return move
-    return None
-
-
 @pytest.fixture(scope="module")
 def shared_u():
     """One Universe for many examples; its memo tables hold only exact answers."""
@@ -70,7 +61,7 @@ def test_comparison_route_matches_the_sum_definitions(shared_u, game, heaps):
     u, spec, p = shared_u, pos.parse_spec(game), pos.Position(tuple(heaps))
     assert pos.position_outcome(u, p, spec) == u.outcome(pos.position_value(u, p, spec))
     for mover in ("L", "R"):
-        assert pos.winning_move(u, p, mover, spec) == _sum_route_winning_move(u, p, mover, spec)
+        assert pos.winning_move(u, p, mover, spec) == sum_route_winning_move(u, p, mover, spec)
 
 
 @pytest.mark.parametrize("game", ["golden", "oddeven", "beatty:sqrt2", "mod:3:L=1"])

@@ -1,7 +1,8 @@
 import pytest
 
 from goldennugget.dyadic import Dyadic, ONE
-from goldennugget.nugget import heap_canonical
+from goldennugget.nugget import heap_canonical, subtraction_canonical
+from goldennugget.positions import parse_spec
 from goldennugget.rcf import eq_inf, reduced_canonical_form
 from gametext import read_game
 
@@ -52,3 +53,14 @@ def test_rcf_bypasses_inf_reversible_options(u, text, reduced):
     # each game is its own canonical form; its reduced form bypasses an
     # Inf-reversible option
     assert u.to_text(reduced_canonical_form(u, read_game(u, text))) == reduced
+
+
+def test_rcf_keeps_stops_through_inf_bypasses(u):
+    # heaps of mod:5:L=1,4 make Inf-bypasses (59 rounds to heap 300), golden none;
+    # the reduced form stays Inf-equal to the heap and keeps its stops
+    spec = parse_spec("mod:5:L=1,4")
+    for h in range(301):
+        g = subtraction_canonical(u, spec, h, 300)
+        r = reduced_canonical_form(u, g)
+        assert eq_inf(u, r, g) and u.stops(r) == u.stops(g), h
+        assert reduced_canonical_form(u, r) == r, h
