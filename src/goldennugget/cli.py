@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("rcf", cmd_rcf, "reduced canonical form of a heap").add_argument("heap", type=int)
     command("classify", cmd_classify, "partition class of a heap").add_argument("heap", type=int)
     command("number", cmd_number, "heap value via the bit map, with binary expansion").add_argument("heap", type=int)
-    command("xi", cmd_xi, "heap whose value is a binary fraction: 1, s(n) or in (2/3, 1)").add_argument("fraction")
+    command("xi", cmd_xi, "heap whose value is a binary fraction: 0, 1, s(n) or in (2/3, 1)").add_argument("fraction")
 
     p = command("repr", cmd_repr, "Fibonacci representation of an integer")
     p.add_argument("x", type=int)
@@ -124,7 +124,7 @@ def cmd_classify(args):
 
 
 def cmd_number(args):
-    value = nugget.number_value(args.heap)
+    value = nugget.xi_inverse(args.heap)
     return ({"h": args.heap, "value": str(value), "binary": value.binary()},
             f"{value} = {value.binary()}")
 
@@ -174,20 +174,12 @@ def cmd_table(args) -> Table:
             rows.append([str(h), u.to_text(g), u.to_text(reduced_canonical_form(u, g))])
         return Table(["h", "value", "rcf"], rows, "values")
     if kind == "partition":
-        header = [""] + [str(n) for n in range(top + 1)]
-        rows = [
-            ["B"] + ["." if n == 0 else str(fw.b_seq(n)) for n in range(top + 1)],
-            ["AB0"] + [str(fw.compose_ab("AB", n)) for n in range(top + 1)],
-            ["AB0+1"] + [str(fw.compose_ab("AB", n) + 1) for n in range(top + 1)],
-            ["B2+1"] + ["." if n == 0 else str(fw.compose_ab("BB", n) + 1) for n in range(top + 1)],
-            ["G(1)"] + [str(nugget.g_heap(n, 1)) for n in range(top + 1)],
-            ["G(2)"] + [str(nugget.g_heap(n, 2)) for n in range(top + 1)],
-            ["G(3)"] + [str(nugget.g_heap(n, 3)) for n in range(top + 1)],
-        ]
-        return Table(header, rows, "partition")
+        rows = [[label] + ["." if n is None else str(n) for n in row]
+                for label, row in nugget.partition_table(top).items()]
+        return Table([""] + [str(n) for n in range(top + 1)], rows, "partition")
     rows = []  # numbers
     for h in [0, 1][: top + 1] + nugget.q_members(top):
-        value = nugget.number_value(h)
+        value = nugget.xi_inverse(h)
         moves = ""
         if h >= 2:
             # the largest even- and odd-indexed Fibonacci numbers <= h

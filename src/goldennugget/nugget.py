@@ -11,15 +11,15 @@ into four classes (plus zero) that determine the reduced canonical form:
 * ``g-switch`` -- other heaps in AB:      reduced form {1|s(n)}.
 
 The numbers are read off bitwise from the even Fibonacci representation
-(the xi map).  The classifier and the xi map run in time polynomial in
-log(heap size); the brute-force oracle is guarded by a bound.
+(the xi map), and the bits read decide whether a heap is a number heap.
+The classifier and the xi map run in time polynomial in log(heap size);
+the brute-force oracle is guarded by a bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import isqrt
 
 from . import fibonacci as fw
 from .dyadic import Dyadic, ZERO, ONE
@@ -53,6 +53,19 @@ def g_heap(i: int, n: int) -> int:
     if i < 0 or n < 1:
         raise ValueError(f"need i >= 0 and n >= 1, got i={i}, n={n}")
     return fw.a_seq(i) * fw.fib(2 * n + 2) + i * fw.fib(2 * n + 1) + fw.fib(2 * n + 3) - 2
+
+
+def partition_table(top: int) -> dict[str, list[int | None]]:
+    """The paper's partition table, columns 0 to top, keyed by row label;
+    None where B(0) = 0 and B(B(0)) + 1 = 1 fall outside their classes."""
+    cols = range(top + 1)
+    return {
+        "B": [None] + [fw.b_seq(n) for n in cols[1:]],
+        "AB0": [fw.compose_ab("AB", n) for n in cols],
+        "AB0+1": [fw.compose_ab("AB", n) + 1 for n in cols],
+        "B2+1": [None] + [fw.compose_ab("BB", n) + 1 for n in cols[1:]],
+        **{f"G({n})": [g_heap(i, n) for i in cols] for n in (1, 2, 3)},
+    }
 
 
 @dataclass(frozen=True)
@@ -122,34 +135,25 @@ def _invert(word: str, y: int) -> int | None:
     return y
 
 
-def is_in_q(h: int) -> bool:
-    """Membership in the number heaps: B^2 + 1 together with F(2n+3) - 2.
-
-    h + 2 is an odd-indexed Fibonacci number exactly when 5(h+2)^2 - 4 is a
-    square, since 5F(n)^2 - 4 = L(n)^2 for odd n (Gessel's test); h >= 3
-    drops F(1) - 2 and F(3) - 2.
-    """
-    if _invert("BB", h - 1) is not None:
-        return True
-    square = 5 * (h + 2) ** 2 - 4
-    return h >= 3 and isqrt(square) ** 2 == square
-
-
 # -- the xi bijection ------------------------------------------------------
 
 
-def xi(d: Dyadic) -> int:
-    """Map a positive heap value to the least heap of that value.
+def _is_q_value(d: Dyadic) -> bool:
+    """Whether d is the value of a heap in Q: s(n) for n >= 1, or a dyadic strictly between 2/3 and 1."""
+    return 2 << d.exp < 3 * d.num < 3 << d.exp or d.exp % 2 == 1 and d == s_val((d.exp + 1) // 2)
 
-    xi takes 1, s(n) for n >= 1 (the g0 heaps) and each dyadic strictly
-    between 2/3 and 1 (the b2-hat heaps); no other positive d is a heap's
-    value.  Digit i contributes F(e(i)) when set, where e(0) = 2, e(1) = 4,
-    and e(i) repeats e(i-1) exactly after a 01 digit pair, else advances by
-    2.  The resulting multiset is the even Fibonacci representation.
+
+def xi(d: Dyadic) -> int:
+    """Map a heap's number value to the least heap of that value.
+
+    xi takes 0, 1, s(n) for n >= 1 (the g0 heaps) and each dyadic strictly
+    between 2/3 and 1 (the b2-hat heaps); no other dyadic is a heap's value.
+    Digit i contributes F(e(i)) when set, where e(0) = 2, e(1) = 4, and
+    e(i) repeats e(i-1) exactly after a 01 digit pair, else advances by 2.
+    The resulting multiset is the even Fibonacci representation.
     """
-    between = 2 << d.exp < 3 * d.num < 3 << d.exp  # 2/3 < d < 1
-    if not (between or d == ONE or d.exp % 2 and d == s_val((d.exp + 1) // 2)):
-        raise ValueError(f"xi takes 1, s(n) for n >= 1, or a dyadic in (2/3, 1), got {d}")
+    if not (d in (ZERO, ONE) or _is_q_value(d)):
+        raise ValueError(f"xi takes 0, 1, s(n) for n >= 1, or a dyadic in (2/3, 1), got {d}")
     bits = d.binary().replace(".", "")  # digits d0 d1 ... dk
     total = 0
     e = 2
@@ -164,44 +168,47 @@ def xi(d: Dyadic) -> int:
 
 
 def xi_inverse(h: int) -> Dyadic:
-    """The unique dyadic in [1/2, 1) whose xi image is h, for h in Q.
+    """The value of a number heap, inverting ``xi``: h for 0 and 1, else
+    the d in [1/2, 1) with xi(d) = h.  Any other heap is refused.
 
-    The bits are read off the even representation of h, one even index at
-    a time from F2 up, in one pass over its terms.  F2 gives the digit 0.
-    Each later index gives 0 when it is unused; when it is used once, 1
-    after a 1 and 10 after a 0; when it is used twice, 11 after a 0.
-    Trailing zeros are dropped.  This is the inverse of ``xi``, whose digit
-    after a 01 pair repeats the index of the 1.
+    The bits are read off the even representation of h, one even index at a
+    time from index 0 up (so F2 gives digit 0), in one pass over its terms.
+    An index gives 0 when it is unused; when it is used once, 1 after a 1
+    and 10 after a 0; when it is used twice, 11 after a 0.  Trailing zeros
+    are dropped.
+
+    The walk is the membership test.  It runs xi's digit schedule backwards
+    (the digit after a 01 pair repeats the index of the 1, and for d < 1 the
+    start at index 0 puts digit 1 at F4), so a d < 1 that it reads has
+    xi(d) = h; and when xi(d) = h for a value d of Q, xi's terms are the
+    even representation of h, which is unique, so the walk reads d back.
+    Hence the d read is a value of Q exactly when h is in Q.  The even
+    representation leaves an index unused between two doubled ones, so a
+    doubled index never follows a 1 and the last branch cannot fire.
     """
-    if not (h > 0 and is_in_q(h)):
-        raise ValueError(f"heap {h} is not a positive number heap")
-    terms = fw.even_repr(h).terms  # (index, multiplicity), index descending
-    if terms[-1][0] == 2:
-        raise AssertionError(f"even representation of {h} contains F2")
-    if terms[-1][0] != 4:
-        raise AssertionError(f"even representation of {h} lacks the F4 anchor")
-    digits = ["0"]
-    after_zero = True  # the last digit written is 0
-    e = 2
-    for index, mult in reversed(terms):
-        if index > e + 2:
-            digits.append("0" * ((index - e) // 2 - 1))
-            after_zero = True
-        if after_zero:
-            digits.append("10" if mult == 1 else "11")
-            after_zero = mult == 1
-        elif mult == 1:
-            digits.append("1")
-        else:
-            raise AssertionError(f"level F{index} left unsatisfied for heap {h}")
-        e = index
-    bits = "".join(digits).rstrip("0")
-    return Dyadic(int(bits, 2), len(bits) - 1)
-
-
-def number_value(h: int) -> Dyadic:
-    """Value of a number heap: 0 and 1 directly, the rest by the bit map."""
-    return Dyadic(h) if h in (0, 1) else xi_inverse(h)  # raises for heaps outside Q
+    if h in (0, 1):
+        return Dyadic(h)
+    if h > 1:
+        digits = []
+        after_zero = True  # the last digit written is 0
+        e = 0
+        for index, mult in reversed(fw.even_repr(h).terms):  # index ascending
+            if index > e + 2:
+                digits.append("0" * ((index - e) // 2 - 1))
+                after_zero = True
+            if after_zero:
+                digits.append("10" if mult == 1 else "11")
+                after_zero = mult == 1
+            elif mult == 1:
+                digits.append("1")
+            else:
+                raise AssertionError(f"level F{index} left unsatisfied for heap {h}")
+            e = index
+        bits = "".join(digits).rstrip("0")
+        d = Dyadic(int(bits, 2), len(bits) - 1)
+        if _is_q_value(d):
+            return d
+    raise ValueError(f"heap {h} is not a positive number heap")
 
 
 def q_members(limit: int) -> list[int]:

@@ -20,27 +20,28 @@ from goldennugget.games import Outcome, Universe
 from goldennugget.rcf import reduced_canonical_form
 from gametext import read_game
 
+# heap -> canonical form; the reduced forms are verify.GOLDEN_RCF_TABLE
 VALUE_TABLE = {
-    1: ("1", "1"),
-    2: ("{1|0}", "{1|0}"),
-    3: ("1/2", "1/2"),
-    4: ("{1||1|0}", "1"),
-    5: ("{1,{1|0}|0}", "{1|0}"),
-    6: ("3/4", "3/4"),
-    7: ("{1||1|0|||0,{1|0}}", "{1|0}"),
-    8: ("{1|1/2}", "{1|1/2}"),
-    9: ("{1|{1|0},{1||1|0}}", "1"),
-    10: ("{1,{1|0}|0,{1,{1|0}|0}}", "{1|0}"),
-    11: ("5/8", "5/8"),
-    12: ("{1||1|0||||1||1|0|||0,{1|0}}", "1"),
-    13: ("{1,{1,{1|0}|0}|0}", "{1|0}"),
-    14: ("7/8", "7/8"),
-    15: ("{{1||1|0},{1||1|0|||0,{1|0}}|0,{1|0}}", "{1|0}"),
-    16: ("{1,{1|1/2}|1/2}", "{1|1/2}"),
-    17: ("{1|{1|0},{1||1|0}||{1|0},{1||1|0}}", "1"),
-    18: ("{1,{1,{1|0}|0,{1,{1|0}|0}}|0,{1,{1|0}|0}}", "{1|0}"),
-    19: ("11/16", "11/16"),
-    20: ("{{1||1|0||||1||1|0|||0,{1|0}},{1,{1|1/2}|1/2}|0,{1||1|0|||0,{1|0}}}", "{1|0}"),
+    1: "1",
+    2: "{1|0}",
+    3: "1/2",
+    4: "{1||1|0}",
+    5: "{1,{1|0}|0}",
+    6: "3/4",
+    7: "{1||1|0|||0,{1|0}}",
+    8: "{1|1/2}",
+    9: "{1|{1|0},{1||1|0}}",
+    10: "{1,{1|0}|0,{1,{1|0}|0}}",
+    11: "5/8",
+    12: "{1||1|0||||1||1|0|||0,{1|0}}",
+    13: "{1,{1,{1|0}|0}|0}",
+    14: "7/8",
+    15: "{{1||1|0},{1||1|0|||0,{1|0}}|0,{1|0}}",
+    16: "{1,{1|1/2}|1/2}",
+    17: "{1|{1|0},{1||1|0}||{1|0},{1||1|0}}",
+    18: "{1,{1,{1|0}|0,{1,{1|0}|0}}|0,{1,{1|0}|0}}",
+    19: "11/16",
+    20: "{{1||1|0||||1||1|0|||0,{1|0}},{1,{1|1/2}|1/2}|0,{1||1|0|||0,{1|0}}}",
 }
 
 NUMBER_TABLE = {
@@ -168,10 +169,12 @@ def check_criterion(criterion, suites):
 def test_criterion_1_value_table():
     start = time.time()
     u = Universe()
-    for h, (value_text, rcf_text) in VALUE_TABLE.items():
+    rcf_texts = dict(line.split("\t") for line in verify.GOLDEN_RCF_TABLE.splitlines()[1:])
+    assert list(rcf_texts) == [str(h) for h in VALUE_TABLE]
+    for h, value_text in VALUE_TABLE.items():
         got = nugget.heap_canonical(u, h)
         assert got == u.canonical_form(read_game(u, value_text)), f"value h={h}"
-        want = u.canonical_form(read_game(u, rcf_text))
+        want = u.canonical_form(read_game(u, rcf_texts[str(h)]))
         assert reduced_canonical_form(u, got) == want, f"rcf h={h}"
     assert time.time() - start < 10
 
@@ -194,7 +197,7 @@ def test_criterion_3_partition_rows(suites):
 @report(4, "number table: values, binary forms, optimal moves")
 def test_criterion_4_numbers_table():
     for h, (value_text, binary, moves) in NUMBER_TABLE.items():
-        value = nugget.number_value(h)
+        value = nugget.xi_inverse(h)
         assert str(value) == value_text, f"value h={h}"
         assert value.binary() == binary, f"binary h={h}"
         if moves is not None:

@@ -93,6 +93,8 @@ def test_classify_command():
 def test_number_and_xi_commands():
     out, code = run(["xi", "0.110011"])
     assert code == 0 and out == "116\n"
+    out, code = run(["xi", "0"])
+    assert code == 0 and out == "0\n"  # heap 0 has value s(0) = 0
     out, code = run(["number", "19"])
     assert code == 0 and out == "11/16 = 0.1011\n"
     out, code = run(["number", "116", "--format", "json"])
@@ -122,8 +124,8 @@ def test_sequences_table():
 
 def test_partition_table_is_the_papers():
     out, code = run(["table", "--kind", "partition", "--max", "14"])
-    rows = [line.split("\t")[1:] for line in out.splitlines()[1:]]
-    paper = [["." if n is None else str(n) for n in row] for row in verify.PARTITION_TABLE.values()]
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    paper = [[label] + ["." if n is None else str(n) for n in row] for label, row in verify.PARTITION_TABLE.items()]
     assert code == 0 and rows == paper
 
 

@@ -66,18 +66,22 @@ def test_xi_inverse_examples():
     assert nugget.xi_inverse(87) == Dyadic(85, 7)
     assert nugget.xi_inverse(116) == Dyadic(51, 6)
     assert nugget.xi_inverse(116).binary() == "0.110011"
-    with pytest.raises(ValueError):
-        nugget.xi_inverse(2)  # heap 2 is in B, not a number heap
+    assert nugget.xi_inverse(0) == ZERO and nugget.xi_inverse(1) == ONE
+    # one heap per refusal: a negative heap, F2 used (2 = F2 + F2, in B), least
+    # index F6 (8, in AB), and bits that are no value of Q (24 = F8 + F4 reads 9/16)
+    for h in (-1, 2, 8, 24):
+        with pytest.raises(ValueError, match=f"^heap {h} is not a positive number heap$"):
+            nugget.xi_inverse(h)
 
 
 def test_xi_accepts_exactly_the_positive_heap_values():
     # xi's digit i adds at most F(2i+2), so a value with denominator at most
     # 2^12 belongs to a heap below F(27)
-    values = {nugget.number_value(h) for h in [1] + nugget.q_members(fw.fib(27))}
+    values = {nugget.xi_inverse(h) for h in [0, 1] + nugget.q_members(fw.fib(27))}
     for num in range(2**12 + 1):
         d = Dyadic(num, 12)
         if d in values:
-            assert nugget.number_value(nugget.xi(d)) == d
+            assert nugget.xi_inverse(nugget.xi(d)) == d
         else:
             with pytest.raises(ValueError):
                 nugget.xi(d)
@@ -128,28 +132,36 @@ def test_classify_every_g_row_far_beyond_the_forward_enumeration():
             assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
 
 
-def _in_q_by_class(h):
-    return nugget.classify(h).kind in ("b2-hat", "g0")
+def _number_heap_by_class(h):
+    return h in (0, 1) or nugget.classify(h).kind in ("b2-hat", "g0")
 
 
-def test_is_in_q_matches_the_classifier_up_to_2e5():
+def _xi_inverse_accepts(h):
+    try:
+        nugget.xi_inverse(h)
+    except ValueError:
+        return False
+    return True
+
+
+def test_xi_inverse_accepts_exactly_the_number_heaps_up_to_2e5():
     for h in range(2 * 10**5 + 1):
-        assert nugget.is_in_q(h) == _in_q_by_class(h), h
+        assert _xi_inverse_accepts(h) == _number_heap_by_class(h), h
 
 
-def test_is_in_q_matches_the_classifier_near_fibonacci_numbers():
+def test_xi_inverse_accepts_exactly_the_number_heaps_near_fibonacci_numbers():
     for k in range(1500):
         for d in range(-2, 3):
             h = fw.fib(k) + d
             if h >= 0:
-                assert nugget.is_in_q(h) == _in_q_by_class(h), h
+                assert _xi_inverse_accepts(h) == _number_heap_by_class(h), h
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**60), st.integers(1, 200), st.integers(-1, 1))
-def test_is_in_q_matches_the_classifier_far_out(m, n, d):
+def test_xi_inverse_accepts_exactly_the_number_heaps_far_out(m, n, d):
     for h in (fw.compose_ab("BB", m) + 1 + d, nugget.g_heap(m, n) + d, fw.fib(2 * n + 3) - 2 + d):
-        assert nugget.is_in_q(h) == _in_q_by_class(h), h
+        assert _xi_inverse_accepts(h) == _number_heap_by_class(h), h
 
 
 def test_deep_oracle_classifier_agreement():
