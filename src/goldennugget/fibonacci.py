@@ -12,9 +12,11 @@ The Wythoff sequences A(n) = floor(n*phi) and B(n) = A(n) + n are computed
 exactly in integers, with no floating point: A(n) = (n + isqrt(5 n^2)) // 2.
 Each inverse is one isqrt: with s = isqrt(5 y^2), y is in B exactly when
 y + s is even and 5 (y+1)^2 < (s+3)^2 (the proof is in ``b_inverse``),
-and the index is read off s.  That A(n) is also the left shift of the
-least-odd representation of n, and B(n) the double left shift, is a
-property the tests check.
+and the index is read off s (``wythoff_index``).  The root of y - c follows
+from s and c's root by one square comparison (``shifted_root``), which is
+how the heap classifier takes one isqrt per heap.  That A(n) is also the
+left shift of the least-odd representation of n, and B(n) the double left
+shift, is a property the tests check.
 """
 
 from __future__ import annotations
@@ -273,24 +275,49 @@ def in_b(x: int) -> bool:
     return z1(x) % 2 == 1
 
 
-def _wythoff_root(y: int) -> tuple[int, bool]:
-    """s = isqrt(5 y^2) for a positive y, and whether y is in B (see ``b_inverse``)."""
+def wythoff_index(y: int, s: int) -> tuple[bool, int]:
+    """Whether the positive y is in B, and its index, read off s = isqrt(5 y^2):
+    (True, n) with B(n) = y, or (False, n) with A(n) = y.
+
+    The membership test and B's index are proved in ``b_inverse``.  A and B
+    partition the positive integers, so a y outside B is in A, and then
+    n = floor(y/phi) + 1 = (s - y) // 2 + 1, since y/phi = (y sqrt5 - y)/2
+    and y sqrt5 lies strictly between s and s + 1.
+    """
+    if (y + s) % 2 == 0 and 5 * (y + 1) ** 2 < (s + 3) ** 2:
+        return True, (3 * y - s) // 2
+    return False, (s - y) // 2 + 1
+
+
+def shifted_root(y: int, s: int, c: int, t: int) -> int:
+    """isqrt(5 (y - c)^2) for integers y > c with c != 0, from s = isqrt(5 y^2)
+    and t = floor(c sqrt5), with no isqrt.
+
+    Write y sqrt5 = s + e and c sqrt5 = t + f; e and f lie in (0, 1) since
+    sqrt5 is irrational.  Then (y - c) sqrt5 = (s - t) + (e - f) with
+    e - f in (-1, 1), so the root is s - t when (y - c) sqrt5 >= s - t and
+    s - t - 1 otherwise.  As (y - c) sqrt5 > 0 and e - f < 1, s - t >= 0, so
+    the test squares to 5 (y - c)^2 >= (s - t)^2.  For c = -1 (t = -3) the
+    root of y + 1 is s + 2 or s + 3, and for c = 1 (t = 2) that of y - 1 is
+    s - 3 or s - 2.
+    """
+    r = s - t
+    return r if 5 * (y - c) ** 2 >= r * r else r - 1
+
+
+def _index(y: int) -> tuple[bool, int]:
     if y <= 0:
         raise ValueError(f"positive integer required, got {y}")
-    s = isqrt(5 * y * y)
-    return s, (y + s) % 2 == 0 and 5 * (y + 1) ** 2 < (s + 3) ** 2
+    return wythoff_index(y, isqrt(5 * y * y))
 
 
 def a_inverse(y: int) -> int:
-    """The n with A(n) = y, for y in the A sequence: n = floor(y/phi) + 1.
-
-    A and B partition the positive integers, so y is in A exactly when it
-    is not in B; then n = (s - y) // 2 + 1 with s = isqrt(5 y^2).
-    """
-    s, y_in_b = _wythoff_root(y)
+    """The n with A(n) = y, for y in the A sequence: n = floor(y/phi) + 1,
+    read off one isqrt (see ``wythoff_index``)."""
+    y_in_b, n = _index(y)
     if y_in_b:
         raise ValueError(f"{y} is not in the A sequence")
-    return (s - y) // 2 + 1
+    return n
 
 
 def b_inverse(y: int) -> int:
@@ -306,10 +333,10 @@ def b_inverse(y: int) -> int:
     floor(y/phi) = (s - y)/2; and e/2 < 1/phi^2 = (3 - sqrt5)/2 is
     sqrt5 (y+1) < s + 3, which squares to the integer test.
     """
-    s, y_in_b = _wythoff_root(y)
+    y_in_b, n = _index(y)
     if not y_in_b:
         raise ValueError(f"{y} is not in the B sequence")
-    return (3 * y - s) // 2
+    return n
 
 
 def values_upto(f: Callable[[int], int], limit: int) -> Iterator[int]:

@@ -281,22 +281,35 @@ class Universe:
     def from_number(self, d: Dyadic) -> GameId:
         """The canonical-form game of a dyadic number: ``{n-1|}`` above zero,
         ``{|n+1}`` below it, ``{|}`` at zero, and ``{d-e|d+e}`` between
-        integers, e being the unit of d's last binary place."""
-        done = self._numbers.get(d)
-        if done is not None:
-            return done
-        if d.is_integer():
-            n = d.num
-            left = [self.from_number(Dyadic(n - 1))] if n > 0 else []
-            right = [self.from_number(Dyadic(n + 1))] if n < 0 else []
-            result = self.make_game(left, right)
-        else:
-            step = Dyadic(1, d.exp)
-            result = self.make_game([self.from_number(d - step)], [self.from_number(d + step)])
-        self._numbers[d] = result
-        self._canon[result] = result
-        self._numval[result] = d
-        return result
+        integers, e being the unit of d's last binary place.
+
+        The numbers it rests on are built first from an explicit stack, in
+        the order a recursion would build them (the left option's numbers
+        before the right's), so an integer of any size builds without deep
+        recursion and the arena's ids are those the recursion gave.
+        """
+        stack = [d]
+        while stack:
+            x = stack[-1]
+            if x in self._numbers:
+                stack.pop()
+                continue
+            if x.is_integer():
+                left = [Dyadic(x.num - 1)] if x.num > 0 else []
+                right = [Dyadic(x.num + 1)] if x.num < 0 else []
+            else:
+                step = Dyadic(1, x.exp)
+                left, right = [x - step], [x + step]
+            missing = [y for y in left + right if y not in self._numbers]
+            if missing:
+                stack += reversed(missing)
+                continue
+            stack.pop()
+            result = self.make_game([self._numbers[y] for y in left], [self._numbers[y] for y in right])
+            self._numbers[x] = result
+            self._canon[result] = result
+            self._numval[result] = x
+        return self._numbers[d]
 
     def _read_number(self, g: GameId) -> Dyadic | None:
         """Structural number reading, sound on any record by simplicity.

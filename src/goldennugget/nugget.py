@@ -10,16 +10,21 @@ into four classes (plus zero) that determine the reduced canonical form:
 * ``g0``       -- heaps F(2n+3) - 2:      the number s(n);
 * ``g-switch`` -- other heaps in AB:      reduced form {1|s(n)}.
 
-The numbers are read off bitwise from the even Fibonacci representation
-(the xi map), and the bits read decide whether a heap is a number heap.
-The classifier and the xi map run in time polynomial in log(heap size);
-the brute-force oracle is guarded by a bound.
+The classifier takes one root per heap, s = isqrt(5 h^2), and derives
+every other root it needs from s by exact square comparisons: a heap costs
+one isqrt in B, two in AA and, in AB, one plus two for each row G(n) whose
+rest is in B (at most three on every heap F(k) + d, k < 1500, |d| <= 2).
+The numbers of b2-hat heaps are read off bitwise from the even Fibonacci
+representation (the xi map), and the bits read decide whether a heap is a
+number heap.  The classifier and the xi map run in time polynomial in
+log(heap size); the brute-force oracle is guarded by a bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import isqrt
 
 from . import fibonacci as fw
 from .dyadic import Dyadic, ZERO, ONE
@@ -84,55 +89,80 @@ class HeapClass:
         return self.kind
 
 
+# the classes with no parameters, built once: building a frozen dataclass
+# costs more than the test for B
+_ZERO_CLASS, _B_CLASS, _AB_HAT_CLASS, _B2_HAT_CLASS = map(HeapClass, ("zero", "b", "ab-hat", "b2-hat"))
+
+
 def classify(h: int) -> HeapClass:
     """Total, single-valued classification of a heap size.
 
     Every test is membership in a composition of A and B.  A heap outside B
     is in A, and it is in AA exactly when h + 1 is in B, because
     A(A(n)) = B(n) - 1; otherwise it is in AB.
+
+    The heap's one root s = isqrt(5 h^2) gives the roots of h + 1, h - 1 and
+    of h - c for the start c of each row G(n), by one exact square
+    comparison each (``fw.shifted_root``), and a root gives membership in B
+    and the index in A or B (``fw.wythoff_index``).  So a heap in B costs
+    one isqrt; a heap in AA two, the second in ``fw.b_inverse`` on the
+    index of h - 1; and a heap in AB one, plus two for each row whose rest
+    is in B (``_g_row``), the row it lies in among them.
     """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
     if h == 0:
-        return HeapClass("zero")
+        return _ZERO_CLASS
     if h == 1:
-        return HeapClass("ab-hat")
-    if _invert("B", h) is not None:
-        return HeapClass("b")
-    if _invert("B", h + 1) is None:
-        return _classify_in_ab(h)
-    if _invert("AB", h - 1) is not None:
-        return HeapClass("ab-hat")
-    if _invert("BB", h - 1) is not None:
-        return HeapClass("b2-hat")
-    raise AssertionError(f"heap {h} escaped the partition")
+        return _AB_HAT_CLASS
+    s = isqrt(5 * h * h)
+    if fw.wythoff_index(h, s)[0]:
+        return _B_CLASS
+    if not fw.wythoff_index(h + 1, fw.shifted_root(h, s, -1, -3))[0]:
+        return _g_row(h, s)
+    # h is in AA, so h - 1 is A(B(j)) or B(B(j)): its index in A or B must be in B
+    below_in_b, j = fw.wythoff_index(h - 1, fw.shifted_root(h, s, 1, 2))
+    try:
+        fw.b_inverse(j)
+    except ValueError:
+        raise AssertionError(f"heap {h} escaped the partition") from None
+    return _B2_HAT_CLASS if below_in_b else _AB_HAT_CLASS
 
 
-def _classify_in_ab(h: int) -> HeapClass:
-    # h in AB equals B^{n+1}(i) + F(2n+3) - 2 for exactly one n >= 1
-    n = 1
-    while fw.fib(2 * n + 3) - 2 <= h:
-        rest = h - fw.fib(2 * n + 3) + 2
+def _g_row(h: int, s: int) -> HeapClass:
+    """The row of a heap h in AB, given s = isqrt(5 h^2).
+
+    h = B^m(i) + c for exactly one n >= 1, where m = n + 1 and c = F(2n+3) - 2
+    is where the row G(n) starts.  The rest h - c is then 0 (g0) or in B,
+    which its root decides with no isqrt: c's root is
+    t = isqrt(5 c^2) = L(2n+3) - 5 = F(2n+2) + F(2n+4) - 5, so the rest's
+    is s - t or s - t - 1 (``fw.shifted_root``).  Proof of t: for odd k,
+    sqrt5 F(k) = phi^k + phi^-k and L(k) = phi^k - phi^-k, so
+    sqrt5 (F(k) - 2) = L(k) - 5 + (5 - 2 sqrt5 + 2 phi^-k); the bracket is
+    positive, and below 1 when phi^k > 1 / (sqrt5 - 2) = sqrt5 + 2, which
+    holds from k = 4 on; here k = 2n + 3 >= 5.
+
+    A rest in B gives the only candidate i in one step.  B^m(i) is the 2m-fold
+    left shift of i's least-odd representation, so by
+    F(k + 2m) = F(k+1) F(2m) + F(k) F(2m-1) it is A(i) F(2m) + i F(2m-1);
+    with A(i) = i phi - frac(i phi) and phi^2m = F(2m) phi + F(2m-1) that is
+    i phi^2m - frac(i phi) F(2m).  As F(2m+1) - F(2m) phi = phi^-2m,
+    rest F(2m+1) - A(rest F(2m)) = rest phi^-2m + frac(rest F(2m) phi), an
+    integer in (i - F(2m) phi^-2m, i + 1) with F(2m) phi^-2m < 1: it is i.
+    The forward step confirms it.
+    """
+    n, f1, f2 = 1, 2, 3  # F(2n+1), F(2n+2)
+    while (f3 := f1 + f2) - 2 <= h:
+        f4 = f2 + f3
+        rest = h - f3 + 2
         if rest == 0:
             return HeapClass("g0", n=n)
-        i = _invert("B" * (n + 1), rest)
-        if i is not None:
-            return HeapClass("g-switch", n=n, i=i)
-        n += 1
+        if fw.wythoff_index(rest, fw.shifted_root(h, s, f3 - 2, f2 + f4 - 5))[0]:
+            i = rest * f3 - fw.a_seq(rest * f2)
+            if fw.a_seq(i) * f2 + i * f1 == rest:
+                return HeapClass("g-switch", n=n, i=i)
+        n, f1, f2 = n + 1, f3, f4
     raise AssertionError(f"heap {h} in AB matched no G(n)")
-
-
-def _invert(word: str, y: int) -> int | None:
-    """The m >= 1 with ``fw.compose_ab(word, m) == y``, or None if there is none.
-
-    One exact inverse of A or B per letter, outermost letter first.
-    """
-    try:
-        for letter in word:
-            y = fw.a_inverse(y) if letter == "A" else fw.b_inverse(y)
-    except ValueError:
-        return None
-    return y
 
 
 # -- the xi bijection ------------------------------------------------------
@@ -240,18 +270,23 @@ class RcfValue:
         return u.from_json_obj(self.to_json_obj())
 
 
+# the forms that do not depend on the heap, built once like the classes above
+_FIXED_RCF = {"zero": RcfValue("number", ZERO), "b": RcfValue("switch", ZERO), "ab-hat": RcfValue("number", ONE)}
+
+
 def heap_rcf(h: int) -> RcfValue:
-    """Reduced canonical form of a heap, by classification (no game search)."""
+    """Reduced canonical form of a heap, by classification (no game search).
+
+    A g0 heap's value s(n) and a g-switch heap's right option s(n) are read
+    off the class; only a b2-hat heap's value is read off its bits.
+    """
     cls = classify(h)
-    if cls.kind == "zero":
-        return RcfValue("number", ZERO)
-    if cls.kind == "b":
-        return RcfValue("switch", ZERO)
-    if cls.kind == "ab-hat":
-        return RcfValue("number", ONE)
-    if cls.kind in ("b2-hat", "g0"):
+    fixed = _FIXED_RCF.get(cls.kind)
+    if fixed is not None:
+        return fixed
+    if cls.kind == "b2-hat":
         return RcfValue("number", xi_inverse(h))
-    return RcfValue("switch", s_val(cls.n))
+    return RcfValue("number" if cls.kind == "g0" else "switch", s_val(cls.n))
 
 
 # -- the oracle ----------------------------------------------------------------

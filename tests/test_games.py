@@ -78,6 +78,15 @@ def test_from_number_examples(u):
     assert g34 == u.from_number(Dyadic(3, 2))
 
 
+def test_from_number_builds_large_integers_without_deep_recursion():
+    # each integer rests on the one before it: 2000 levels, past the default recursion limit
+    u = Universe()
+    g = u.from_json_obj("2000")
+    assert u.as_number(g) == Dyadic(2000)
+    assert u.as_number(u.from_json_obj("-2000")) == Dyadic(-2000)
+    assert u.options(g) == ((u.from_number(Dyadic(1999)),), ())
+
+
 def test_negate_and_add(u):
     one = u.from_number(ONE)
     assert u.negate(one) == u.from_number(Dyadic(-1))

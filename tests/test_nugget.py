@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,7 @@ from goldennugget import fibonacci as fw
 from goldennugget import nugget, verify
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import ResourceLimitError, Universe
-from goldennugget.nugget import GoldenSpec
+from goldennugget.nugget import GoldenSpec, HeapClass
 
 
 def test_subtraction_predicates():
@@ -130,6 +132,91 @@ def test_classify_every_g_row_far_beyond_the_forward_enumeration():
         assert nugget.classify(fw.fib(2 * n + 3) - 2) == nugget.HeapClass("g0", n=n)
         for m in (1, 2, 10**60):
             assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
+
+
+def _invert(word, y):
+    """The m >= 1 with compose_ab(word, m) == y, or None: one exact inverse per letter."""
+    try:
+        for letter in word:
+            y = fw.a_inverse(y) if letter == "A" else fw.b_inverse(y)
+    except ValueError:
+        return None
+    return y
+
+
+def _classify_by_search(h):
+    """The reference classifier: every test inverts a word of A and B one letter
+    at a time, and the rows G(n) are tried from n = 1 up."""
+    if h in (0, 1):
+        return HeapClass("zero" if h == 0 else "ab-hat")
+    if _invert("B", h) is not None:
+        return HeapClass("b")
+    if _invert("B", h + 1) is not None:
+        if _invert("AB", h - 1) is not None:
+            return HeapClass("ab-hat")
+        assert _invert("BB", h - 1) is not None, h
+        return HeapClass("b2-hat")
+    n = 1
+    while fw.fib(2 * n + 3) - 2 <= h:
+        rest = h - fw.fib(2 * n + 3) + 2
+        if rest == 0:
+            return HeapClass("g0", n=n)
+        i = _invert("B" * (n + 1), rest)
+        if i is not None:
+            return HeapClass("g-switch", n=n, i=i)
+        n += 1
+    raise AssertionError(h)
+
+
+def test_classify_matches_the_search_up_to_2e5():
+    for h in range(2 * 10**5 + 1):
+        assert nugget.classify(h) == _classify_by_search(h), h
+
+
+def test_classify_matches_the_search_near_fibonacci_numbers():
+    for k in range(1500):
+        for d in range(-2, 3):
+            if fw.fib(k) + d >= 0:
+                assert nugget.classify(fw.fib(k) + d) == _classify_by_search(fw.fib(k) + d), (k, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**60), st.integers(1, 200))
+def test_classify_matches_the_search_far_beyond_the_forward_enumeration(m, n):
+    for h in (nugget.g_heap(m, n), fw.b_seq(m), fw.compose_ab("AB", m) + 1, fw.compose_ab("BB", m) + 1):
+        assert nugget.classify(h) == _classify_by_search(h), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**400), st.integers(1, 950), st.integers(1, 10**6))
+def test_derived_roots_match_isqrt(y, n, d):
+    # the roots classify derives from s = isqrt(5 y^2): those of y + 1 and
+    # y - 1, and of y - c for the start c of the row G(n), whose own root is
+    # L(2n+3) - 5; y - c is drawn both at random and just above c
+    c, t = fw.fib(2 * n + 3) - 2, fw.fib(2 * n + 2) + fw.fib(2 * n + 4) - 5
+    assert t == isqrt(5 * c * c)
+    s = isqrt(5 * y * y)
+    assert fw.shifted_root(y, s, -1, -3) == isqrt(5 * (y + 1) ** 2)
+    assert fw.shifted_root(y, s, 1, 2) == isqrt(5 * (y - 1) ** 2)
+    for z in (y, c + d):
+        if z > c:
+            assert fw.shifted_root(z, isqrt(5 * z * z), c, t) == isqrt(5 * (z - c) ** 2), (z, n)
+
+
+def test_classify_takes_at_most_three_isqrt_calls_deep_in_a_row(monkeypatch):
+    # _classify_by_search, which inverts each row letter by letter, makes hundreds here
+    calls = []
+
+    def counting_isqrt(x):
+        calls.append(x)
+        return isqrt(x)
+
+    monkeypatch.setattr(fw, "isqrt", counting_isqrt)
+    monkeypatch.setattr(nugget, "isqrt", counting_isqrt)
+    for h, expected in ((nugget.g_heap(3, 700), "g-switch(n=700,i=3)"), (fw.fib(1403) - 2, "g0(n=700)")):
+        calls.clear()
+        assert str(nugget.classify(h)) == expected
+        assert len(calls) <= 3, expected
 
 
 def _number_heap_by_class(h):
