@@ -16,7 +16,7 @@ import io
 import json
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import fibonacci as fw
 from . import nugget
@@ -33,12 +33,10 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-class Table(NamedTuple):
+class Table(namedtuple("Table", "header rows key")):
     """Rows of strings under a header; ``key`` names the rows in JSON."""
 
-    header: list[str]
-    rows: list[list[str]]
-    key: str
+    __slots__ = ()
 
 
 @functools.cache

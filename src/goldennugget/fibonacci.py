@@ -22,9 +22,8 @@ shift, is a property the tests check.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from math import isqrt
 
 ZECKENDORF = "zeckendorf"
@@ -53,16 +52,14 @@ def _fibs_past(x: int) -> list[int]:
     return _fib_cache
 
 
-@dataclass(frozen=True)
-class FibRepr:
+class FibRepr(namedtuple("FibRepr", "kind terms")):
     """A multiset of Fibonacci indices with a kind tag.
 
     ``terms`` maps index -> multiplicity and is stored as a sorted tuple of
     (index, multiplicity) pairs, largest index first.
     """
 
-    kind: str
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def from_counts(cls, kind: str, counts: dict[int, int]) -> "FibRepr":

@@ -22,8 +22,8 @@ log(heap size); the brute-force oracle is guarded by a bound.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from math import isqrt
 
 from . import fibonacci as fw
@@ -73,13 +73,13 @@ def partition_table(top: int) -> dict[str, list[int | None]]:
     }
 
 
-@dataclass(frozen=True)
-class HeapClass:
-    """Where a heap size falls in the partition; n and i parametrize G."""
+class HeapClass(namedtuple("HeapClass", "kind n i", defaults=(None, None))):
+    """Where a heap size falls in the partition; n and i parametrize G.
 
-    kind: str  # 'zero' | 'b' | 'ab-hat' | 'b2-hat' | 'g0' | 'g-switch'
-    n: int | None = None
-    i: int | None = None
+    ``kind`` is one of 'zero', 'b', 'ab-hat', 'b2-hat', 'g0' and 'g-switch'.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "g0":
@@ -89,8 +89,7 @@ class HeapClass:
         return self.kind
 
 
-# the classes with no parameters, built once: building a frozen dataclass
-# costs more than the test for B
+# the classes with no parameters, built once: a heap of one of them costs no construction
 _ZERO_CLASS, _B_CLASS, _AB_HAT_CLASS, _B2_HAT_CLASS = map(HeapClass, ("zero", "b", "ab-hat", "b2-hat"))
 
 
@@ -250,12 +249,13 @@ def q_members(limit: int) -> list[int]:
 # -- values ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RcfValue:
-    """A heap's reduced canonical form: a number, or the switch {1 | right}."""
+class RcfValue(namedtuple("RcfValue", "kind value")):
+    """A heap's reduced canonical form: a number, or the switch {1 | right}.
 
-    kind: str  # 'number' | 'switch'
-    value: Dyadic
+    ``kind`` is 'number' or 'switch'; ``value`` is the number or the right option.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return game_text(self.to_json_obj())
@@ -292,18 +292,24 @@ def heap_rcf(h: int) -> RcfValue:
 # -- the oracle ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CSGameSpec:
     """A complementary subtraction game: Left removes members of the set A,
     Right removes the positive integers not in A.
 
-    The name is the spec's identity (equality, hash, and the universe's memo
-    key), so it must be the normalized literal of ``member``, A's membership
-    test, as ``positions.parse_spec`` builds it.
+    The name is the spec's identity (equality within one class, hash, and the
+    universe's memo key), so it must be the normalized literal of ``member``,
+    A's membership test, as ``positions.parse_spec`` builds it.
     """
 
-    name: str
-    member: Callable[[int], bool] = field(compare=False)
+    def __init__(self, name: str, member: Callable[[int], bool]):
+        self.name = name
+        self.member = member
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
 
     def left_ok(self, k: int) -> bool:
         return self.member(k)

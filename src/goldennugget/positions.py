@@ -10,7 +10,7 @@ share one outcome recursion and one value oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import nugget
 from .games import GameId, Outcome, Universe
@@ -20,16 +20,16 @@ BLUE = "b"
 RED = "r"
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(namedtuple("Position", "heaps")):
     """Colored heaps, kept in input order so moves can name them."""
 
-    heaps: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for color, size in self.heaps:
+    def __new__(cls, heaps: tuple[tuple[str, int], ...]):
+        for color, size in heaps:
             if color not in (BLUE, RED) or size < 0:
                 raise ValueError(f"bad heap ({color!r}, {size})")
+        return super().__new__(cls, heaps)
 
     @classmethod
     def parse(cls, text: str) -> "Position":
@@ -56,12 +56,10 @@ class Position:
         return Position(tuple(heaps))
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(namedtuple("Move", "index amount")):
     """Remove ``amount`` tokens from the heap at ``index``."""
 
-    index: int
-    amount: int
+    __slots__ = ()
 
     def describe(self, p: Position) -> str:
         color, size = p.heaps[self.index]
@@ -231,10 +229,8 @@ def cs_outcomes(spec: CSGameSpec, max_h: int) -> list[Outcome]:
     return [Outcome.from_wins(*wins) for wins in zip(left_first, right_first)]
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    preperiod: int | None
-    period: int | None
+class PeriodReport(namedtuple("PeriodReport", "preperiod period")):
+    __slots__ = ()
 
     def found(self) -> bool:
         return self.period is not None

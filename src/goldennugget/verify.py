@@ -8,10 +8,9 @@ seeded generator so runs are reproducible.
 
 from __future__ import annotations
 
-import inspect
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import fibonacci as fw
 from . import nugget
@@ -21,12 +20,10 @@ from .games import Outcome, Universe
 from .rcf import eq_inf, geq_inf, reduced_canonical_form
 
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
-    elapsed: float = 0.0  # seconds spent in a sweep; 0.0 for single checks
+class Check(namedtuple("Check", "name ok detail elapsed", defaults=("", 0.0))):
+    """One check's result; ``elapsed`` is the seconds spent in a sweep, 0.0 for single checks."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -34,9 +31,9 @@ class Check:
         return f"{status}  {self.name}{tail}"
 
 
-@dataclass
 class Recorder:
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self):
+        self.checks: list[Check] = []
 
     def add(self, name: str, ok: bool, detail: str = "", elapsed: float = 0.0) -> None:
         self.checks.append(Check(name, bool(ok), detail, elapsed))
@@ -818,7 +815,8 @@ SUITES = {
 
 
 def suite_parameters(name: str) -> set[str]:
-    """The parameters a suite takes, of ``bound`` and ``seed``, from its signature."""
+    """The parameters a suite takes, of ``bound`` and ``seed``, read off its code object."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return set(inspect.signature(SUITES[name]).parameters)
+    code = SUITES[name].__code__
+    return set(code.co_varnames[:code.co_argcount])

@@ -31,6 +31,21 @@ def test_package_import_loads_no_submodule():
     assert out == "[] []\n"
 
 
+def test_commands_load_no_dataclasses_inspect_or_typing():
+    # each costs milliseconds at every cold start; whatever the standard-library
+    # modules the package imports load on their own (on some Python) is not counted
+    src = Path(cli.__file__).parents[1]
+    code = ("import sys; heavy = {'dataclasses', 'inspect', 'typing'}; "
+            "import __future__, argparse, bisect, collections.abc, contextlib, csv, enum, functools, "
+            "io, itertools, json, math, random, re, time; "
+            "before = heavy & set(sys.modules); "
+            "import goldennugget.nugget; import goldennugget.cli; "
+            "print(sorted(heavy & set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "[]\n"
+
+
 def test_rcf_command():
     out, code = run(["rcf", "19", "--format", "text"])
     assert code == 0 and out == "11/16\n"
