@@ -10,11 +10,11 @@ indices are provided:
 
 The Wythoff sequences A(n) = floor(n*phi) and B(n) = A(n) + n are computed
 exactly in integers, with no floating point: A(n) = (n + isqrt(5 n^2)) // 2.
-Each inverse is one isqrt: with s = isqrt(5 y^2), y is in B exactly when
-y + s is even and 5 (y+1)^2 < (s+3)^2 (the proof is in ``b_inverse``),
-and the index is read off s (``wythoff_index``).  The root of y - c follows
-from s and c's root by one square comparison (``shifted_root``), which is
-how the heap classifier takes one isqrt per heap.  That A(n) is also the
+With s = isqrt(5 y^2), y is in B exactly when y + s is even and
+5 (y+1)^2 < (s+3)^2 (the proof is in ``b_inverse``), and y's index in A or
+B is read off s (``wythoff_index``).  The root of y - c follows from s and
+c's root by one square comparison (``shifted_root``), which is how the heap
+classifier gets by with one or two isqrts per heap.  That A(n) is also the
 left shift of the least-odd representation of n, and B(n) the double left
 shift, is a property the tests check.
 """
@@ -302,21 +302,6 @@ def shifted_root(y: int, s: int, c: int, t: int) -> int:
     return r if 5 * (y - c) ** 2 >= r * r else r - 1
 
 
-def _index(y: int) -> tuple[bool, int]:
-    if y <= 0:
-        raise ValueError(f"positive integer required, got {y}")
-    return wythoff_index(y, isqrt(5 * y * y))
-
-
-def a_inverse(y: int) -> int:
-    """The n with A(n) = y, for y in the A sequence: n = floor(y/phi) + 1,
-    read off one isqrt (see ``wythoff_index``)."""
-    y_in_b, n = _index(y)
-    if y_in_b:
-        raise ValueError(f"{y} is not in the A sequence")
-    return n
-
-
 def b_inverse(y: int) -> int:
     """The n with B(n) = y, for y in the B sequence: n = round(y/phi^2).
 
@@ -330,7 +315,9 @@ def b_inverse(y: int) -> int:
     floor(y/phi) = (s - y)/2; and e/2 < 1/phi^2 = (3 - sqrt5)/2 is
     sqrt5 (y+1) < s + 3, which squares to the integer test.
     """
-    y_in_b, n = _index(y)
+    if y <= 0:
+        raise ValueError(f"positive integer required, got {y}")
+    y_in_b, n = wythoff_index(y, isqrt(5 * y * y))
     if not y_in_b:
         raise ValueError(f"{y} is not in the B sequence")
     return n

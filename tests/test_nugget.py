@@ -135,12 +135,15 @@ def test_classify_every_g_row_far_beyond_the_forward_enumeration():
 
 
 def _invert(word, y):
-    """The m >= 1 with compose_ab(word, m) == y, or None: one exact inverse per letter."""
-    try:
-        for letter in word:
-            y = fw.a_inverse(y) if letter == "A" else fw.b_inverse(y)
-    except ValueError:
-        return None
+    """The m >= 1 with compose_ab(word, m) == y, or None, one letter at a time:
+    the letter's one candidate read off isqrt(5 y^2), kept only when the
+    forward step gives y back, so no inverse of the package is used."""
+    for letter in word:
+        s = isqrt(5 * y * y)
+        n = (s - y) // 2 + 1 if letter == "A" else (3 * y - s) // 2
+        if fw.compose_ab(letter, n) != y:
+            return None
+        y = n
     return y
 
 
@@ -181,13 +184,6 @@ def test_classify_matches_the_search_near_fibonacci_numbers():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 10**60), st.integers(1, 200))
-def test_classify_matches_the_search_far_beyond_the_forward_enumeration(m, n):
-    for h in (nugget.g_heap(m, n), fw.b_seq(m), fw.compose_ab("AB", m) + 1, fw.compose_ab("BB", m) + 1):
-        assert nugget.classify(h) == _classify_by_search(h), h
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.integers(2, 10**400), st.integers(1, 950), st.integers(1, 10**6))
 def test_derived_roots_match_isqrt(y, n, d):
     # the roots classify derives from s = isqrt(5 y^2): those of y + 1 and
@@ -203,8 +199,34 @@ def test_derived_roots_match_isqrt(y, n, d):
             assert fw.shifted_root(z, isqrt(5 * z * z), c, t) == isqrt(5 * (z - c) ** 2), (z, n)
 
 
-def test_classify_takes_at_most_three_isqrt_calls_deep_in_a_row(monkeypatch):
-    # _classify_by_search, which inverts each row letter by letter, makes hundreds here
+def _assert_row_lemma(i, n, rows):
+    """For h = G_i(n), the rest h - c(m) at each earlier row m's start has an
+    even least Zeckendorf index, 2m + 4 when n - m >= 2."""
+    h = nugget.g_heap(i, n)
+    for m in rows:
+        least = fw.z1(h - nugget.g_heap(0, m))
+        assert least % 2 == 0, (i, n, m)
+        assert n - m == 1 or least == 2 * m + 4, (i, n, m)
+
+
+def test_row_lemma_every_earlier_rest_is_in_a():
+    # the lemma _g_row's docstring proves: no earlier row's rest is in B
+    for n in range(1, 40):
+        for m in range(1, n):
+            assert nugget.g_heap(0, n) - nugget.g_heap(0, m) == sum(fw.fib(2 * k) for k in range(m + 2, n + 2))
+    for n in range(2, 12):
+        for i in range(400):
+            _assert_row_lemma(i, n, range(1, n))
+
+
+@given(st.integers(0, 10**60), st.integers(2, 200))
+def test_row_lemma_far_out(i, n):
+    _assert_row_lemma(i, n, {m for m in (1, n - 2, n - 1) if m >= 1})
+
+
+def test_classify_isqrt_cost_is_one_in_b_and_g0_and_two_in_aa_and_g_switch(monkeypatch):
+    # _classify_by_search, which inverts each row letter by letter, makes hundreds on g_heap(3, 700)
+    cost = {"zero": 0, "b": 1, "g0": 1, "ab-hat": 2, "b2-hat": 2, "g-switch": 2}
     calls = []
 
     def counting_isqrt(x):
@@ -213,10 +235,12 @@ def test_classify_takes_at_most_three_isqrt_calls_deep_in_a_row(monkeypatch):
 
     monkeypatch.setattr(fw, "isqrt", counting_isqrt)
     monkeypatch.setattr(nugget, "isqrt", counting_isqrt)
-    for h, expected in ((nugget.g_heap(3, 700), "g-switch(n=700,i=3)"), (fw.fib(1403) - 2, "g0(n=700)")):
+    near_fibonacci = [fw.fib(k) + d for k in range(1500) for d in range(-2, 3) if fw.fib(k) + d >= 0]
+    for h in [*range(10**4 + 1), *near_fibonacci, nugget.g_heap(3, 700)]:
         calls.clear()
-        assert str(nugget.classify(h)) == expected
-        assert len(calls) <= 3, expected
+        kind = nugget.classify(h).kind
+        assert len(calls) == (0 if h == 1 else cost[kind]), (h, kind)
+    assert str(nugget.classify(nugget.g_heap(3, 700))) == "g-switch(n=700,i=3)"
 
 
 def _number_heap_by_class(h):
