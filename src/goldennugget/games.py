@@ -165,24 +165,33 @@ class Universe:
         return result
 
     def reduce(self, ls: list[GameId], rs: list[GameId], order: str, geq) -> GameId:
-        """The fixed point of trimming and bypassing ``{ls | rs}`` under an order.
+        """The fixed point of trimming and bypassing ``{ls | rs}`` under an order:
+        a trim, at most one bypass pass, and a trim.
 
         ``ls`` and ``rs`` are sorted lists of distinct forms of the order:
         canonical forms under ``geq`` = ``>=``, reduced canonical forms under
         ``>=_Inf``.  ``order`` names the order's tables in :meth:`cache`: the
         table ``order``, where each fixed point maps to itself, and the Left
-        and Right "beaten by" tables of :meth:`_undominated`.  Until a
-        fixed point, dominated options are removed and every reversible
-        option is bypassed.
+        and Right "beaten by" tables of :meth:`_undominated`.  Dominated
+        options are removed and every reversible option is bypassed.
 
         Trimming first is exact: the trimmed game equals the untrimmed one
         under the order, so an option reverses through the one as through
         the other, and the bypass test sees only the few surviving options.
-        For the same reason every round tests reversibility against the
-        first trimmed game: removing a dominated option and bypassing a
-        reversible one leave a game equal to it under the order (Siegel,
-        *Combinatorial Game Theory*, ch. II), so each answer is the one the
-        round's own game would give, and ``geq`` has already memoized it.
+
+        One bypass pass reaches the fixed point.  :meth:`_bypass` tests every
+        option it holds, those it brings in too, against the first trimmed
+        game, and ends holding only options it found not reversible through
+        that game.  Removing a dominated option and bypassing a reversible
+        one leave a game equal to it under the order (Siegel,
+        *Combinatorial Game Theory*, ch. II), and an option's reversibility
+        depends only on the option's own options and on the game's value.
+        The second trim only removes options.  So no option of the result is
+        dominated and none reverses through the result: a second bypass pass
+        would test the same options against a game equal to the first and
+        find nothing.  The argument uses only that the order is a preorder
+        under which these moves keep the game's value, so it holds under
+        ``>=`` and ``>=_Inf`` alike.
 
         The antichain scan of :meth:`_undominated` is exact when no two
         options are equal under the order, which is why the options must be
@@ -200,27 +209,23 @@ class Universe:
         as it was.
 
         An Inf-bypass never makes a number, so it takes no guard: the
-        reduced form runs this loop only on games with unequal stops, each
-        game made here equals that game under ``>=_Inf`` and so has its
+        reduced form runs this reduction only on games with unequal stops,
+        each game made here equals that game under ``>=_Inf`` and so has its
         stops (an infinitesimal moves neither), and a number's stops are equal.
         """
         done = self.cache(order)
         beaten = self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right")
-        game = None
-        while True:
-            ls = self._undominated(ls, 0, geq, beaten[0])
-            rs = self._undominated(rs, 1, geq, beaten[1])
-            current = self.make_game(ls, rs)
-            result = done.get(current)
-            if result is not None:
-                return result
-            if game is None:
-                game = current
-            bypassed = self._bypass(game, ls, rs, geq)
-            if bypassed is None:
-                done[current] = current
-                return current
-            ls, rs = bypassed
+        game = self._trim(ls, rs, geq, beaten)
+        result = done.get(game)
+        if result is not None:
+            return result
+        bypassed = self._bypass(game, geq)
+        result = game if bypassed is None else self._trim(*bypassed, geq, beaten)
+        return done.setdefault(result, result)
+
+    def _trim(self, ls: list[GameId], rs: list[GameId], geq, beaten) -> GameId:
+        """The game of the undominated options of ``{ls | rs}``."""
+        return self.make_game(self._undominated(ls, 0, geq, beaten[0]), self._undominated(rs, 1, geq, beaten[1]))
 
     def _undominated(self, options: list[GameId], side: int, geq, beaten: dict) -> list[GameId]:
         """The options no other is at least as good as for ``side`` (0 Left:
@@ -253,14 +258,14 @@ class Universe:
                 survivors = kept
         return survivors
 
-    def _bypass(self, game: GameId, ls: list[GameId], rs: list[GameId], geq):
-        # one pass: an option on `side` (0 Left, 1 Right) is reversible
-        # through any of its opposite-side options `back` with back <= game
-        # (Left) or back >= game (Right); each one found is replaced by
-        # back's options, which are tested in the same pass.  The new
-        # (ls, rs), or None when nothing was bypassed.
+    def _bypass(self, game: GameId, geq):
+        # one pass over game's options: an option on `side` (0 Left, 1 Right)
+        # is reversible through any of its opposite-side options `back` with
+        # back <= game (Left) or back >= game (Right); each one found is
+        # replaced by back's options, which are tested in the same pass.  The
+        # new (ls, rs), or None when nothing was bypassed.
         records = self._records
-        sides = [set(ls), set(rs)]
+        sides = [set(options) for options in records[game]]
         bypassed = False
         for side, options in enumerate(sides):
             work = sorted(options, reverse=True)

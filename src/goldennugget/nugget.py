@@ -371,7 +371,7 @@ def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> 
     The forms of heaps 0, 1, 2, ... and both subtraction lists grow together
     in the universe under the spec's name, so each predicate runs once per k;
     a k whose predicate raised is not recorded.  Heap k's distinct option forms
-    go straight to the canonical-form loop: no record of every move is built.
+    go straight to the canonical-form reduction: no record of every move is built.
     """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")

@@ -171,10 +171,14 @@ def position_outcome(
     return u.outcome(_signed_value(u, spec, *p.heaps[0], bound), _minus_rest(u, p, 0, spec, bound))
 
 
-def legal_moves(spec: CSGameSpec, p: Position, mover: str) -> list[Move]:
-    """All moves for L or R, ordered by heap index then amount."""
+def _check_mover(mover: str) -> None:
     if mover not in ("L", "R"):
         raise ValueError(f"mover must be 'L' or 'R', got {mover!r}")
+
+
+def legal_moves(spec: CSGameSpec, p: Position, mover: str) -> list[Move]:
+    """All moves for L or R, ordered by heap index then amount."""
+    _check_mover(mover)
     moves = []
     for index, (color, size) in enumerate(p.heaps):
         mover_is_left_here = (mover == "L") == (color == BLUE)
@@ -199,8 +203,23 @@ def winning_move(
     Right iff v <= -R_i.  So -R_i is built once per heap and each move costs
     one comparison.  Deterministic tie-break: smallest heap index, then
     smallest amount.
+
+    Only a mover who wins moving first searches.  The position's game has
+    the legal moves as its options, and G <= 0 holds iff no Left option
+    G^L has G^L >= 0 (the definition of <=, with 0 = { | }; Conway, *On
+    Numbers and Games*; Siegel, *Combinatorial Game Theory*, ch. II).  So
+    Left has a winning move iff not G <= 0, and Right, by symmetry, iff not
+    G >= 0.  With v_0 the first heap's value, G <= 0 iff -R_0 >= v_0 and
+    G >= 0 iff v_0 >= -R_0: the two comparisons of :func:`position_outcome`,
+    which ``geq`` has memoized when it ran first.
     """
+    _check_mover(mover)
     minus_rests: dict[int, GameId] = {}
+    if p.heaps:
+        minus_rest = minus_rests[0] = _minus_rest(u, p, 0, spec, bound)
+        v = _signed_value(u, spec, *p.heaps[0], bound)
+        if u.geq(minus_rest, v) if mover == "L" else u.geq(v, minus_rest):
+            return None
     for move in legal_moves(spec, p, mover):
         if move.index not in minus_rests:
             minus_rests[move.index] = _minus_rest(u, p, move.index, spec, bound)

@@ -3,7 +3,7 @@
 A game's reduced canonical form is the unique simplest game infinitesimally
 close to it: a canonical-form number when the stops coincide, and otherwise
 a hot game with no Inf-dominated or Inf-reversible options.  The hot case
-reduces the children, then runs the canonical-form loop
+reduces the children, then runs the canonical-form reduction
 (:meth:`Universe.reduce`) under ``>=_Inf`` in place of ``>=``.
 """
 

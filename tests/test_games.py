@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from goldennugget import nugget
 from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import Outcome, Universe, game_text
+from goldennugget.positions import parse_spec
 from goldennugget.rcf import geq_inf, reduced_canonical_form
 from goldennugget.verify import _random_game
 from gametext import read_game, read_obj
@@ -291,3 +292,69 @@ def test_canonical_form_meets_its_definition(seed):
             fresh = set(left + right) - seen
             seen |= fresh
             todo += fresh
+
+
+def fixed_point_reduce(u, ls, rs, geq):
+    """The reduction loop by its definition: trim every option some other
+    option is at least as good as, bypass every option reversible through
+    the game as it stands, and repeat until a round changes nothing.  The
+    number of rounds that bypassed is returned with the game."""
+    bypass_rounds = 0
+    while True:
+        ls = [a for a in ls if not any(b != a and geq(b, a) for b in ls)]
+        rs = [a for a in rs if not any(b != a and geq(a, b) for b in rs)]
+        game = u.make_game(ls, rs)
+        sides = []
+        for side, options in enumerate((ls, rs)):
+            kept = set()
+            for a in options:
+                back = next((b for b in u.options(a)[1 - side] if (geq(b, game) if side else geq(game, b))), None)
+                kept |= {a} if back is None else set(u.options(back)[side])
+            sides.append(sorted(kept))
+        if sides == [ls, rs]:
+            return game, bypass_rounds
+        bypass_rounds += 1
+        ls, rs = sides
+
+
+def _reduced_by_definition(u, g):
+    """The reduced canonical form of g with its last step, the loop, taken
+    by :func:`fixed_point_reduce`; None when g's stops are equal (no loop)."""
+    c = u.canonical_form(g)
+    if len(set(u.stops(c))) == 1:
+        return None
+    left, right = u.options(c)
+    return fixed_point_reduce(u, sorted({reduced_canonical_form(u, x) for x in left}),
+                              sorted({reduced_canonical_form(u, x) for x in right}), partial(geq_inf, u))
+
+
+def test_reduce_bypasses_once_on_heaps(u):
+    # golden heaps under >=; mod:5:L=1,4 heaps under >=_Inf, which make Inf-bypasses
+    golden, forms = nugget.GOLDEN, []
+    for h in range(301):
+        ls = sorted({forms[h - k] for k in range(1, h + 1) if golden.left_ok(k)})
+        rs = sorted({forms[h - k] for k in range(1, h + 1) if golden.right_ok(k)})
+        forms.append(nugget.heap_canonical(u, h, bound=300))
+        assert fixed_point_reduce(u, ls, rs, u.geq)[0] == u.canonical_form(u.make_game(ls, rs)) == forms[h], h
+    spec, inf_bypasses = parse_spec("mod:5:L=1,4"), 0
+    for h in range(301):
+        g = nugget.subtraction_canonical(u, spec, h, 300)
+        reference = _reduced_by_definition(u, g)
+        if reference is not None:
+            assert reference[0] == reduced_canonical_form(u, g), h
+            inf_bypasses += reference[1]
+    assert inf_bypasses > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reduce_bypasses_once_on_rich_games(seed):
+    u = Universe()
+    rng = random.Random(seed)
+    g = rich_game(u, rng)
+    left, right = u.options(g)
+    ls, rs = sorted({u.canonical_form(x) for x in left}), sorted({u.canonical_form(x) for x in right})
+    assert fixed_point_reduce(u, ls, rs, u.geq)[0] == u.canonical_form(g)
+    reference = _reduced_by_definition(u, g)
+    if reference is not None:
+        assert reference[0] == reduced_canonical_form(u, g)

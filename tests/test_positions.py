@@ -46,6 +46,29 @@ def test_winning_move_tiebreak_order(u):
     assert pos.winning_move(u, pos.Position.parse("0b"), "L") is None
 
 
+def test_a_mover_who_loses_moving_first_lists_no_moves(u, monkeypatch):
+    # G <= 0 leaves Left no winning move and G >= 0 leaves Right none, so
+    # the outcome's two comparisons answer without a legal move listed
+    def listing(*args):
+        raise AssertionError("legal_moves was called")
+
+    monkeypatch.setattr(pos, "legal_moves", listing)
+    p = pos.Position.parse("3b+20b+18r")  # outcome L
+    assert pos.winning_move(u, p, "R") is None
+    for mover in ("L", "R"):  # outcome P
+        assert pos.winning_move(u, pos.Position.parse("17b+17r"), mover) is None
+    with pytest.raises(AssertionError):  # a mover who wins still searches
+        pos.winning_move(u, p, "L")
+
+
+def test_winning_move_checks_the_mover_before_any_work(u):
+    for p in (pos.Position(()), pos.Position.parse("3b+20b+18r")):
+        size = len(u)
+        with pytest.raises(ValueError, match="mover must be 'L' or 'R', got 'X'"):
+            pos.winning_move(u, p, "X")
+        assert len(u) == size  # no heap was built
+
+
 @pytest.fixture(scope="module")
 def shared_u():
     """One Universe for many examples; its memo tables hold only exact answers."""
