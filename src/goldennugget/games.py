@@ -54,6 +54,7 @@ class Universe:
         self._stops: dict[GameId, tuple[Dyadic, Dyadic]] = {}
         self._numbers: dict[Dyadic, GameId] = {}
         self._caches: dict[str, dict] = {}
+        self._orders: dict[str, tuple[dict, tuple[dict, dict]]] = {}
         self._canon: dict[GameId, GameId] = self.cache("canonical")
         self.zero: GameId = self.from_number(ZERO)
 
@@ -67,16 +68,19 @@ class Universe:
     def make_game(self, left, right) -> GameId:
         """Intern the game with the given option ids (deduplicated, sorted)."""
         rec = (tuple(sorted(set(left))), tuple(sorted(set(right))))
+        for side in rec:
+            for g in side[:1] + side[-1:]:  # the least and the greatest id
+                if not 0 <= g < len(self._records):
+                    raise ValueError(f"unknown game id {g}")
+        return self._intern(rec)
+
+    def _intern(self, rec: tuple[tuple[GameId, ...], tuple[GameId, ...]]) -> GameId:
+        """The id of a record of sorted, distinct, known ids, appended when new."""
         known = self._ids.get(rec)
-        if known is not None:
-            return known
-        size = len(self._records)
-        for g in rec[0] + rec[1]:
-            if not 0 <= g < size:
-                raise ValueError(f"unknown game id {g}")
-        self._records.append(rec)
-        self._ids[rec] = size
-        return size
+        if known is None:
+            known = self._ids[rec] = len(self._records)
+            self._records.append(rec)
+        return known
 
     def options(self, g: GameId) -> tuple[tuple[GameId, ...], tuple[GameId, ...]]:
         return self._records[g]
@@ -94,6 +98,8 @@ class Universe:
         result = self.make_game([self.negate(x) for x in right], [self.negate(x) for x in left])
         self._neg[g] = result
         self._neg[result] = g
+        if self._canon.get(g) == g:  # the negative of a canonical form is canonical (Siegel, ch. II)
+            self._canon[result] = result
         return result
 
     def add(self, g: GameId, h: GameId) -> GameId:
@@ -159,21 +165,21 @@ class Universe:
         if done is not None:
             return done
         left, right = self._records[g]
-        ls = sorted({self.canonical_form(x) for x in left})
-        rs = sorted({self.canonical_form(x) for x in right})
+        ls = {self.canonical_form(x) for x in left}
+        rs = {self.canonical_form(x) for x in right}
         result = self._canon[g] = self.reduce(ls, rs, "canonical", self.geq)
         return result
 
-    def reduce(self, ls: list[GameId], rs: list[GameId], order: str, geq) -> GameId:
+    def reduce(self, ls: set[GameId], rs: set[GameId], order: str, geq) -> GameId:
         """The fixed point of trimming and bypassing ``{ls | rs}`` under an order:
         a trim, at most one bypass pass, and a trim.
 
-        ``ls`` and ``rs`` are sorted lists of distinct forms of the order:
-        canonical forms under ``geq`` = ``>=``, reduced canonical forms under
-        ``>=_Inf``.  ``order`` names the order's tables in :meth:`cache`: the
-        table ``order``, where each fixed point maps to itself, and the Left
-        and Right "beaten by" tables of :meth:`_undominated`.  Dominated
-        options are removed and every reversible option is bypassed.
+        ``ls`` and ``rs`` are sets of forms of the order: canonical forms
+        under ``geq`` = ``>=``, reduced canonical forms under ``>=_Inf``.
+        ``order`` names the order's tables in :meth:`cache`, fetched once per
+        universe: the table ``order``, where each fixed point maps to itself,
+        and the Left and Right "beaten by" tables of :meth:`_undominated`.
+        Dominated options are removed and every reversible option is bypassed.
 
         Trimming first is exact: the trimmed game equals the untrimmed one
         under the order, so an option reverses through the one as through
@@ -194,27 +200,27 @@ class Universe:
         ``>=`` and ``>=_Inf`` alike.
 
         The antichain scan of :meth:`_undominated` is exact when no two
-        options are equal under the order, which is why the options must be
-        distinct: a duplicate x would record "x beaten by x" and so drop x
-        from every later scan.  Under ``>=`` the options are distinct
-        canonical forms.  Under ``>=_Inf`` every option is a distinct reduced
-        canonical form: a bypass brings in options of an option's option,
-        which are subpositions of a reduced form and so reduced themselves.
-        Two distinct reduced canonical forms are never infinitesimally close,
-        by their uniqueness (Grossman and Siegel, "Reductions of partizan
-        games"; Siegel, ch. II).  So an option that beats another is strictly
-        better than it, which is what lets the scan drop an option whose
-        recorded beater is present: that option is not maximal, and since
-        the strict order is transitive, removing it leaves the maximal set
-        as it was.
+        options are equal under the order.  Every scan is over a set of
+        forms: the callers' sets, and after a bypass the sets it returns,
+        whose new options are subpositions of forms and so forms themselves.
+        Distinct forms are never equal under their order, by the uniqueness
+        of each form (for reduced forms, Grossman and Siegel, "Reductions of
+        partizan games"; Siegel, ch. II).  So an option that beats another is
+        strictly better than it, which is what lets the scan drop an option
+        whose recorded beater is present: that option is not maximal, and
+        since the strict order is transitive, removing it leaves the maximal
+        set as it was.
 
         An Inf-bypass never makes a number, so it takes no guard: the
         reduced form runs this reduction only on games with unequal stops,
         each game made here equals that game under ``>=_Inf`` and so has its
         stops (an infinitesimal moves neither), and a number's stops are equal.
         """
-        done = self.cache(order)
-        beaten = self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right")
+        tables = self._orders.get(order)
+        if tables is None:
+            tables = self._orders[order] = (
+                self.cache(order), (self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right")))
+        done, beaten = tables
         game = self._trim(ls, rs, geq, beaten)
         result = done.get(game)
         if result is not None:
@@ -223,13 +229,14 @@ class Universe:
         result = game if bypassed is None else self._trim(*bypassed, geq, beaten)
         return done.setdefault(result, result)
 
-    def _trim(self, ls: list[GameId], rs: list[GameId], geq, beaten) -> GameId:
+    def _trim(self, ls: set[GameId], rs: set[GameId], geq, beaten) -> GameId:
         """The game of the undominated options of ``{ls | rs}``."""
-        return self.make_game(self._undominated(ls, 0, geq, beaten[0]), self._undominated(rs, 1, geq, beaten[1]))
+        return self._intern((tuple(sorted(self._undominated(ls, 0, geq, beaten[0]))),
+                             tuple(sorted(self._undominated(rs, 1, geq, beaten[1])))))
 
-    def _undominated(self, options: list[GameId], side: int, geq, beaten: dict) -> list[GameId]:
+    def _undominated(self, options: set[GameId], side: int, geq, beaten: dict) -> list[GameId]:
         """The options no other is at least as good as for ``side`` (0 Left:
-        greater, 1 Right: smaller), in order, by an antichain scan.
+        greater, 1 Right: smaller), by an antichain scan in the set's order.
 
         Exact when no two options are equal under ``geq``: dominance is then
         a strict order with a unique maximal set.  Each win the scan sees is
@@ -237,11 +244,10 @@ class Universe:
         its beater, and a scan first drops every option whose recorded
         beater is among its options.
         """
-        present = set(options)
         by = beaten.get
         survivors: list[GameId] = []
         for x in options:
-            if by(x) in present:
+            if by(x) in options:
                 continue
             for s in survivors:
                 if geq(x, s) if side else geq(s, x):  # s is at least as good as x
@@ -259,27 +265,34 @@ class Universe:
         return survivors
 
     def _bypass(self, game: GameId, geq):
-        # one pass over game's options: an option on `side` (0 Left, 1 Right)
-        # is reversible through any of its opposite-side options `back` with
-        # back <= game (Left) or back >= game (Right); each one found is
-        # replaced by back's options, which are tested in the same pass.  The
-        # new (ls, rs), or None when nothing was bypassed.
+        # one pass over each side of game's record, in its order: an option on
+        # `side` (0 Left, 1 Right) is reversible through any of its
+        # opposite-side options `back` with back <= game (Left) or
+        # back >= game (Right); each one found is replaced by back's options,
+        # which are tested next.  A side is copied into a set only when its
+        # first reversible option turns up.  The new (ls, rs) as sets, or
+        # None when nothing was bypassed.
         records = self._records
-        sides = [set(options) for options in records[game]]
-        bypassed = False
-        for side, options in enumerate(sides):
-            work = sorted(options, reverse=True)
-            while work:
-                a = work.pop()
-                for back in records[a][1 - side]:
-                    if geq(back, game) if side else geq(game, back):
-                        fresh = [x for x in records[back][side] if x not in options]
-                        options.discard(a)
-                        options.update(fresh)
-                        work += fresh
-                        bypassed = True
-                        break
-        return [sorted(options) for options in sides] if bypassed else None
+        found = []
+        for side, options in enumerate(records[game]):
+            kept, work = None, []
+            for x in options:
+                work.append(x)
+                while work:
+                    a = work.pop()
+                    for back in records[a][1 - side]:
+                        if geq(back, game) if side else geq(game, back):
+                            if kept is None:
+                                kept = set(options)
+                            fresh = [y for y in records[back][side] if y not in kept]
+                            kept.discard(a)
+                            kept.update(fresh)
+                            work += fresh
+                            break
+            found.append(kept)
+        if found == [None, None]:
+            return None
+        return [set(options) if kept is None else kept for options, kept in zip(records[game], found)]
 
     # -- numbers -----------------------------------------------------------
 

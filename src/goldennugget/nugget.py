@@ -291,7 +291,9 @@ class RcfValue(namedtuple("RcfValue", "kind value")):
         return {"L": [str(ONE)], "R": [str(self.value)]}
 
     def to_game(self, u: Universe) -> GameId:
-        return u.from_json_obj(self.to_json_obj())
+        if self.kind == "number":
+            return u.from_number(self.value)
+        return u.make_game([u.from_number(ONE)], [u.from_number(self.value)])
 
 
 # the forms that do not depend on the heap, built once like the classes above
@@ -384,6 +386,5 @@ def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> 
             to_left, to_right = spec.left_ok(k), spec.right_ok(k)
             left += [k] * to_left
             right += [k] * to_right
-        memo[k] = u.reduce(sorted({memo[k - s] for s in left}), sorted({memo[k - s] for s in right}),
-                           "canonical", u.geq)
+        memo[k] = u.reduce({memo[k - s] for s in left}, {memo[k - s] for s in right}, "canonical", u.geq)
     return memo[h]

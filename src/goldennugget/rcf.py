@@ -46,8 +46,8 @@ def reduced_canonical_form(u: Universe, g: GameId) -> GameId:
         result = u.from_number(left_stop)
     else:
         left, right = u.options(c)
-        ls = sorted({reduced_canonical_form(u, x) for x in left})
-        rs = sorted({reduced_canonical_form(u, x) for x in right})
+        ls = {reduced_canonical_form(u, x) for x in left}
+        rs = {reduced_canonical_form(u, x) for x in right}
         result = u.reduce(ls, rs, "rcf", partial(geq_inf, u))
     cache[c] = result
     cache[result] = result

@@ -262,10 +262,29 @@ def test_antichain_scan_matches_quadratic_definition(seed, count):
         options = sorted({form(g) for g in games})
         shuffled = rng.sample(options, len(options))
         for side in (0, 1):
+            # the scan takes a set and keeps the set's order, so results are compared sorted
             for start in range(len(shuffled)):
                 window = shuffled[start:start + 3]
-                assert u._undominated(window, side, geq, beaten[side]) == maximal(window, side)
-            assert u._undominated(options, side, geq, beaten[side]) == maximal(options, side)
+                assert sorted(u._undominated(set(window), side, geq, beaten[side])) == sorted(maximal(window, side))
+            assert sorted(u._undominated(set(options), side, geq, beaten[side])) == maximal(options, side)
+
+
+def assert_canonical(u, c):
+    """c meets the canonical-form definition at every subposition: no option
+    is dominated and none is reversible, by plain alternating search."""
+    todo, seen = [c], {c}
+    while todo:
+        p = todo.pop()
+        left, right = u.options(p)
+        for a in left:
+            assert not any(b != a and brute_geq(u, b, a) for b in left)
+            assert not any(brute_geq(u, p, back) for back in u.options(a)[1])
+        for a in right:
+            assert not any(b != a and brute_geq(u, a, b) for b in right)
+            assert not any(brute_geq(u, back, p) for back in u.options(a)[0])
+        fresh = set(left + right) - seen
+        seen |= fresh
+        todo += fresh
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,19 +298,21 @@ def test_canonical_form_meets_its_definition(seed):
     for g in (u.add(_random_game(u, rng, 4), _random_game(u, rng, 4)), rich_game(u, rng)):
         c = u.canonical_form(g)
         assert brute_geq(u, g, c) and brute_geq(u, c, g)
-        todo, seen = [c], {c}
-        while todo:  # the definition holds at every subposition
-            p = todo.pop()
-            left, right = u.options(p)
-            for a in left:
-                assert not any(b != a and brute_geq(u, b, a) for b in left)
-                assert not any(brute_geq(u, p, back) for back in u.options(a)[1])
-            for a in right:
-                assert not any(b != a and brute_geq(u, a, b) for b in right)
-                assert not any(brute_geq(u, back, p) for back in u.options(a)[0])
-            fresh = set(left + right) - seen
-            seen |= fresh
-            todo += fresh
+        assert_canonical(u, c)
+        assert u.canonical_form(u.negate(g)) == u.negate(c)  # -g is reduced unless g is canonical
+
+
+@pytest.mark.parametrize("spec", ["golden", "mod:5:L=1,4"])
+def test_negation_keeps_canonical_forms(spec):
+    # the negative of an oracle form is canonical by the definition, and its
+    # canonical form is a lookup: no record is made and no comparison is run
+    u, spec = Universe(), parse_spec(spec)
+    for h in range(61):
+        n = u.negate(nugget.subtraction_canonical(u, spec, h, 60))
+        records, comparisons = len(u), len(u._geq)
+        assert u.canonical_form(n) == n
+        assert (len(u), len(u._geq)) == (records, comparisons)
+        assert_canonical(u, n)
 
 
 def fixed_point_reduce(u, ls, rs, geq):

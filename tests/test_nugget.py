@@ -287,3 +287,10 @@ def test_oracle_keeps_no_record_of_every_move():
     u = Universe()
     nugget.heap_canonical(u, 1000, bound=1000)
     assert max(len(left) + len(right) for left, right in map(u.options, range(len(u)))) <= 16
+
+
+def test_oracle_arena_size_is_pinned():
+    # the records the oracle makes to heap 600, trims and bypasses included
+    u = Universe()
+    nugget.heap_canonical(u, 600, bound=600)
+    assert len(u) == 1193
