@@ -371,20 +371,20 @@ def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> 
     """The oracle for any subtraction game: heap h's canonical form in ``spec``.
 
     The forms of heaps 0, 1, 2, ... and both subtraction lists grow together
-    in the universe under the spec's name, so each predicate runs once per k;
-    a k whose predicate raised is not recorded.  Heap k's distinct option forms
-    go straight to the canonical-form reduction: no record of every move is built.
+    in one entry of the universe's "oracle" table, under the spec's name, so
+    each predicate runs once per k; a k whose predicate raised is not recorded.
+    Heap k's distinct option forms go straight to the canonical-form
+    reduction: no record of every move is built.
     """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
     if h > bound:
         raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
-    memo = u.cache(f"heaps:{spec.name}")
-    left, right = u.cache("subtractions").setdefault(spec.name, ([], []))
-    for k in range(len(memo), h + 1):
+    forms, left, right = u.cache("oracle").setdefault(spec.name, ([], [], []))
+    for k in range(len(forms), h + 1):
         if k:
             to_left, to_right = spec.left_ok(k), spec.right_ok(k)
             left += [k] * to_left
             right += [k] * to_right
-        memo[k] = u.reduce({memo[k - s] for s in left}, {memo[k - s] for s in right}, "canonical", u.geq)
-    return memo[h]
+        forms.append(u.reduce({forms[k - s] for s in left}, {forms[k - s] for s in right}, "canonical", u.geq))
+    return forms[h]

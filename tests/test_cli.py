@@ -128,15 +128,6 @@ def test_repr_command():
     assert out == "F10+F8+F8+F4+F2+F2  [1020001020]\n"
 
 
-def test_sequences_table():
-    out, code = run(["table", "--kind", "sequences", "--max", "14", "--format", "csv"])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[1] == "A,0,1,3,4,6,8,9,11,12,14,16,17,19,21,22"
-    assert lines[2] == "B,0,2,5,7,10,13,15,18,20,23,26,28,31,34,36"
-    assert lines[5] == "W,b,a,b,a,a,b,a,b,a,a,b,a,a,b,a"
-
-
 def test_partition_table_is_the_papers():
     out, code = run(["table", "--kind", "partition", "--max", "14"])
     rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -155,16 +146,6 @@ def test_csv_rows_are_the_text_rows(argv):
     header, *rows = csv.reader(io.StringIO(out))
     assert code == 0 and all(len(row) == len(header) for row in rows)
     assert [header, *rows] == [line.split("\t") for line in text.splitlines()]
-
-
-def test_solve_command():
-    out, code = run(["solve", "3b+20b+18r"])
-    assert code == 0
-    assert out.splitlines()[0] == "outcome=L"
-    out, code = run(["solve", "20b+17r", "--mover", "R", "--format", "json"])
-    payload = json.loads(out)
-    assert payload["outcome"] == "N"
-    assert payload["moves"]["R"] == {"heap": 0, "remove": 20}
 
 
 def test_solve_other_games():
@@ -186,10 +167,29 @@ def test_probe_period_command():
     assert code == 0 and "no period found" in out
 
 
-def test_verify_command():
-    out, code = run(["verify", "--suite", "rcf", "--bound", "20"])
-    assert code == 0
-    assert "FAIL" not in out
+def test_verify_command(monkeypatch):
+    # on stub suites: the real ones run once each in test_acceptance.py
+    calls = {}
+
+    def both(bound=60, seed=0):
+        calls["both"] = (bound, seed)
+        return [verify.Check("fine", True)]
+
+    def seeded(seed=0):
+        calls["seeded"] = seed
+        return [verify.Check("broken", False, "h=5")]
+
+    def plain():
+        calls["plain"] = ()
+        return []
+
+    monkeypatch.setattr(verify, "SUITES", {"both": both, "seeded": seeded, "plain": plain})
+    out, code = run(["verify", "--suite", "all", "--bound", "20", "--seed", "3"])
+    assert calls == {"both": (20, 3), "seeded": 3, "plain": ()}  # each flag only where it is taken
+    assert (out, code) == ("[both] PASS  fine\n[seeded] FAIL  broken  (h=5)\nFAILED: 1 failing check(s)\n", 1)
+    assert run(["verify", "--suite", "both", "--bound", "20"]) == ("[both] PASS  fine\nOK: 0 failing check(s)\n", 0)
+    assert calls["both"] == (20, 0)
+    assert run(["verify", "--suite", "both", "--seed", "3"])[1] == 0 and calls["both"] == (60, 3)
     out, code = run(["verify", "--suite", "bogus"])
     assert code == 2
 
@@ -305,12 +305,13 @@ FORMATS = {
     ("solve", "20b+17r"): ("text", "json"),
     ("outcomes", "--game", "oddeven", "--max", "6"): ("text", "json", "csv"),
     ("probe-period", "--game", "oddeven", "--max", "50"): ("text", "json"),
-    ("verify", "--suite", "cli"): (),
+    ("verify", "--suite", "stub"): (),
 }
 
 
 @pytest.mark.parametrize("argv", list(FORMATS), ids=lambda argv: argv[0])
-def test_format_matrix(argv, tmp_path):
+def test_format_matrix(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {"stub": lambda: [verify.Check("stub", True)]})
     argv = list(argv)
     default, code = run(argv)
     assert code == 0 and default
@@ -343,21 +344,10 @@ def test_json_game_round_trip():
 
 
 def test_seed_changes_nothing_deterministic():
-    a, code = run(["table", "--kind", "numbers", "--max", "87"])
-    assert code == 0
     # --seed belongs to verify alone, --oracle-bound to value, table and solve
     assert run(["table", "--kind", "numbers", "--max", "87", "--seed", "9"]) == ("", 2)
     assert run(["rcf", "5", "--oracle-bound", "10"]) == ("", 2)
-    assert run(["verify", "--suite", "game-core", "--seed", "3"])[1] == 0
     assert run(["table", "--kind", "values", "--max", "5", "--oracle-bound", "5"])[1] == 0
-    # known number-heap anchors inside the numbers table
-    lines = dict()
-    for line in a.strip().split("\n")[1:]:
-        heap, value, binary, moves = line.split("\t")
-        lines[int(heap)] = (value, binary, moves)
-    assert lines[19] == ("11/16", "0.1011", "8,13")
-    assert lines[87] == ("85/128", "0.1010101", "55,34")
-    assert lines[0] == ("0", "0", "")
 
 
 # -- fuzz over the command grammar: every input ends with an exit code --------

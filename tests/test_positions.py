@@ -148,15 +148,12 @@ def test_golden_heaps_share_one_memo(u):
     assert nugget.heap_canonical(u, 12) == value
     assert nugget.heap_canonical(u, 9) == pos.position_value(u, pos.Position.parse("9b"))
     assert len(u) == size  # nothing was built twice
-    oracle_tables = [name for name in u._caches if name.startswith(("heaps:", "subtractions"))]
-    assert sorted(oracle_tables) == ["heaps:golden", "subtractions"]
+    assert list(u.cache("oracle")) == ["golden"]
 
 
 def test_periodicity_probe():
     report = pos.periodicity_probe(pos.parse_spec("mod:3:L=1,2"), 600)
     assert report.found()  # whatever it finds is evidence, but it must find it
-    report = pos.periodicity_probe(pos.GoldenSpec(), 2000)
-    assert not report.found()
 
 
 def test_color_swap(u):
