@@ -1,16 +1,18 @@
 """Acceptance criteria, exact arithmetic throughout.
 
-Every check of the verify suites is asserted here once: one test per suite
-runs it once, asserts that each of its checks passes, pins how many checks
-it has, and holds the stated runtime envelopes (``ENVELOPES``).  The paper's
-tables and worked positions (criteria 1, 2, 4 and 10) appear in no verify
-suite; they are read off the output of the commands that print them.
+Every check of the verify suites is asserted here once.  Each suite runs
+once per session; one test asserts that every check of a suite passes
+(criterion 9 the fibonacci suite, criterion 11 the positions suite,
+``test_remaining_suites_all_green`` the rest), one pins how many checks each
+suite has, and the stated runtime envelopes are one table (``ENVELOPES``),
+asserted by the criterion that states each.  The paper's tables and worked
+positions (criteria 1, 2, 4 and 10) appear in no verify suite; they are read
+off the output of the commands that print them.
 """
 
+import functools
 import json
 import time
-
-import pytest
 
 from goldennugget import cli, verify
 from goldennugget.games import Universe
@@ -65,13 +67,21 @@ NUMBER_TABLE = {
 
 CHECK_COUNTS = {"game-core": 7, "rcf": 8, "fibonacci": 23, "nugget": 10, "positions": 7, "cli": 2}
 
-# (suite, check name) -> runtime envelope in s; a name of None times the whole suite
+# criterion -> (suite, check name, runtime envelope in s); a name of None times the whole suite
 ENVELOPES = {
-    ("nugget", "oracle vs classifier, h <= 60"): 300,
-    ("nugget", "z1 parity of differences decides value order on Q up to 10^4"): 60,
-    ("nugget", "xi round trip and injectivity on Q up to 10^6"): 60,
-    ("fibonacci", None): 120,
+    5: ("nugget", "oracle vs classifier, h <= 60", 300),
+    7: ("nugget", "z1 parity of differences decides value order on Q up to 10^4", 60),
+    8: ("nugget", "xi round trip and injectivity on Q up to 10^6", 60),
+    9: ("fibonacci", None, 120),
 }
+
+
+@functools.cache
+def run_suite(suite):
+    """The suite's checks and their times (None: the whole suite), run once per session."""
+    start = time.perf_counter()
+    checks = verify.SUITES[suite]()
+    return checks, {None: time.perf_counter() - start, **{c.name: c.elapsed for c in checks}}
 
 
 def table(kind, top):
@@ -87,16 +97,14 @@ def solve(*argv):
     return json.loads(out)
 
 
-@pytest.mark.parametrize("suite", verify.SUITES)
-def test_verify_suite(suite):
-    start = time.perf_counter()
-    checks = verify.SUITES[suite]()
-    elapsed = {None: time.perf_counter() - start, **{c.name: c.elapsed for c in checks}}
-    assert [c.line() for c in checks if not c.ok] == []
-    assert len(checks) == len(elapsed) - 1 == CHECK_COUNTS[suite]  # names are distinct
-    for (owner, name), envelope in ENVELOPES.items():
-        if owner == suite:
-            assert elapsed[name] < envelope, f"{name or suite}: {elapsed[name]:.1f}s over {envelope}s"
+def assert_passes(*suites):
+    assert [c.line() for suite in suites for c in run_suite(suite)[0] if not c.ok] == []
+
+
+def assert_envelope(criterion):
+    suite, name, envelope = ENVELOPES[criterion]
+    elapsed = run_suite(suite)[1][name]
+    assert elapsed < envelope, f"{name or suite}: {elapsed:.1f}s over {envelope}s"
 
 
 def test_criterion_1_value_table():
@@ -131,6 +139,23 @@ def test_criterion_4_numbers_table():
         [str(h), *row] for h, row in NUMBER_TABLE.items()]
 
 
+def test_criterion_5_oracle_classifier_sweep():
+    assert_envelope(5)
+
+
+def test_criterion_7_parity_sweep():
+    assert_envelope(7)
+
+
+def test_criterion_8_xi_round_trip():
+    assert_envelope(8)
+
+
+def test_criterion_9_fibonacci_suites():
+    assert_passes("fibonacci")
+    assert_envelope(9)
+
+
 def test_criterion_10_worked_positions():
     first = solve("3b+20b+18r")
     assert first["outcome"] == "L"
@@ -145,3 +170,19 @@ def test_criterion_10_worked_positions():
     assert solve("20b+17r", "--mover", "R")["moves"] == {"R": {"heap": 0, "remove": 20}}
     # Left's documented winning line: remove 16 from the 20 heap
     assert solve("4b+17r")["outcome"] == "L"
+
+
+def test_criterion_11_outcome_level():
+    assert_passes("positions")
+
+
+def test_remaining_suites_all_green():
+    assert_passes(*(suite for suite in verify.SUITES if suite not in ("fibonacci", "positions")))
+
+
+def test_criteria_name_existing_unique_checks():
+    for suite in verify.SUITES:
+        checks, elapsed = run_suite(suite)
+        assert len(checks) == len(elapsed) - 1 == CHECK_COUNTS[suite], suite  # names are distinct
+    for suite, name, _ in ENVELOPES.values():
+        assert name in run_suite(suite)[1]

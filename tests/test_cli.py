@@ -128,6 +128,12 @@ def test_repr_command():
     assert out == "F10+F8+F8+F4+F2+F2  [1020001020]\n"
 
 
+def test_sequences_table():
+    # one column per n up to --max, under a header row of n (criterion 2 reads the values)
+    rows = "n\t0\t1\nA\t0\t1\nB\t0\t2\nAB\t0\t3\nB2\t0\t5\nW\tb\ta\n"
+    assert run(["table", "--kind", "sequences", "--max", "1"]) == (rows, 0)
+
+
 def test_partition_table_is_the_papers():
     out, code = run(["table", "--kind", "partition", "--max", "14"])
     rows = [line.split("\t") for line in out.splitlines()[1:]]
@@ -146,6 +152,12 @@ def test_csv_rows_are_the_text_rows(argv):
     header, *rows = csv.reader(io.StringIO(out))
     assert code == 0 and all(len(row) == len(header) for row in rows)
     assert [header, *rows] == [line.split("\t") for line in text.splitlines()]
+
+
+def test_solve_command():
+    # the text report: the outcome, then each mover's first winning move (criterion 10 reads the JSON)
+    assert run(["solve", "3b+20b+18r"]) == ("outcome=L\nL: 20b -> 19b (remove 1)\nR: no winning first move\n", 0)
+    assert run(["solve", "20b+17r", "--mover", "R"]) == ("outcome=N\nR: 20b -> 0b (remove 20)\n", 0)
 
 
 def test_solve_other_games():
