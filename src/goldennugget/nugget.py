@@ -261,7 +261,16 @@ def xi_inverse(h: int) -> Dyadic:
         d = Dyadic(int(bits, 2), len(bits) - 1)
         if _is_q_value(d):
             return d
-    raise ValueError(f"heap {h} is not a positive number heap")
+    raise ValueError(f"heap {_heap_text(h)} is not a positive number heap")
+
+
+def _heap_text(h: int) -> str:
+    """A heap as a refusal names it: in full up to 40 digits, else by its
+    last 12 digits and its bit length, with no conversion of the whole int,
+    which CPython refuses past 4,300 digits."""
+    if abs(h) < 10**40:
+        return str(h)
+    return f"{'-' if h < 0 else ''}...{abs(h) % 10**12:012d} ({h.bit_length()} bits)"
 
 
 def q_members(limit: int) -> list[int]:
@@ -313,6 +322,48 @@ def heap_rcf(h: int) -> RcfValue:
     if cls.kind == "b2-hat":
         return RcfValue("number", xi_inverse(h))
     return RcfValue("number" if cls.kind == "g0" else "switch", s_val(cls.n))
+
+
+def sum_stops(terms) -> tuple[Dyadic, Dyadic]:
+    """(Left stop, Right stop) of a signed sum of reduced forms, building no game.
+
+    ``terms`` holds (sign, RcfValue) pairs, sign 1 or -1.  A switch {1|s}
+    is its mean (1+s)/2 plus the switch +-t of temperature t = (1-s)/2 > 0,
+    and its negative {-s|-1} has the negated mean and the same t.  With m
+    the sum of the means and t1 >= t2 >= ... the temperatures, the stops are
+    m + f and m - f for f = t1 - t2 + t3 - ... (hottest switch first;
+    Berlekamp, Conway and Guy, *Winning Ways*; Siegel, *Combinatorial Game
+    Theory*, ch. II).
+
+    Proof, by induction on the number of switches.  f >= 0, and f = 0
+    exactly when the temperatures pair off; then the sum is the number m,
+    as +-t + +-t = 0.  Otherwise the sum G is no number.  Left's move in the
+    hottest switch leaves m + t1 plus the other switches, whose right stop
+    is, by induction, m + t1 - f(T - t1) = m + f.  If G equalled a number x,
+    then G^L < x or G^L || x, so R(G^L) <= x and m + f <= x; by symmetry
+    x <= m - f, against f > 0.  So L(G) is the best R(G^L), and a move in
+    the number part is never better (number avoidance).  A move in the
+    switch of temperature t_i gives m + t_i - f(T - t_i), and
+    t_i - f(T - t_i) <= f(T) reduces to P >= 0 for odd i and P >= t_i for
+    even i, where P = t1 - t2 + ... +- t_(i-1).  Both hold: P pairs its
+    terms into nonnegative differences, with t_(i-1) >= t_i left over when
+    i is even.  The right stop is the mirror image.
+    """
+    twice_mean = ZERO
+    heats = []  # the temperatures, doubled
+    for sign, value in terms:
+        if value.kind == "number":
+            part = value.value + value.value
+        else:
+            part = ONE + value.value
+            heats.append(ONE - value.value)
+        twice_mean = twice_mean + part if sign > 0 else twice_mean - part
+    heats.sort(reverse=True)
+    swing = ZERO
+    for k, heat in enumerate(heats):
+        swing = swing - heat if k % 2 else swing + heat
+    left, right = twice_mean + swing, twice_mean - swing
+    return Dyadic(left.num, left.exp + 1), Dyadic(right.num, right.exp + 1)
 
 
 # -- the oracle ----------------------------------------------------------------

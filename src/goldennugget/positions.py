@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import nugget
-from .games import GameId, Outcome, Universe
+from .games import GameId, Outcome, ResourceLimitError, Universe
 from .nugget import GOLDEN, CSGameSpec, GoldenSpec  # noqa: F401  (perfbench builds positions.GoldenSpec())
 
 BLUE = "b"
@@ -155,6 +155,18 @@ def _minus_rest(u: Universe, p: Position, index: int, spec: CSGameSpec, bound: i
     return u.negate(position_value(u, rest, spec, bound))
 
 
+def _rcf_terms(p: Position, spec: CSGameSpec, bound: int) -> list | None:
+    """A golden position's heaps as signed reduced forms, for ``nugget.sum_stops``;
+    None for any other spec.  A heap over the bound is refused first, in input
+    order, as the oracle would refuse it."""
+    if spec != GOLDEN:
+        return None
+    for _, size in p.heaps:
+        if size > bound:
+            raise ResourceLimitError(f"heap {size} exceeds the oracle bound {bound}")
+    return [(-1 if color == RED else 1, nugget.heap_rcf(size)) for color, size in p.heaps]
+
+
 def position_outcome(
     u: Universe,
     p: Position,
@@ -163,11 +175,30 @@ def position_outcome(
 ) -> Outcome:
     """Outcome of the sum G = v + R, v the first heap's value and R the rest's.
 
-    G >= 0 iff v >= -R, so the outcome comes from comparing v with -R both
-    ways, and the sum itself is never built.
+    For golden the stops of G decide it first.  Each heap is Inf-equivalent
+    to its reduced canonical form, sums keep Inf-equivalence, and
+    Inf-equivalent games have the same stops (Grossman and Siegel,
+    "Reductions of partizan games"), so G's stops are those of the sum of
+    the heaps' ``heap_rcf`` forms, which ``nugget.sum_stops`` gives with no
+    game built.  Stops are monotone and a number is its own stop (Siegel,
+    *Combinatorial Game Theory*, ch. II), so G <= 0 gives L(G) <= 0: a left
+    stop > 0 means not G <= 0, that is, Left wins moving first.  And a right
+    stop > 0 gives G > 0: if G is a number, G = R(G); otherwise each Right
+    option has a left stop >= R(G) > 0, so none is <= 0, hence G >= 0, and
+    G != 0 as its stops are not 0's.  So Right loses moving first.  By the
+    mirror image, a right stop < 0 means Right wins moving first and a left
+    stop < 0 that Left loses.  Only a stop of 0, a tie, is left undecided.
+
+    Then, and for every other spec, G >= 0 iff v >= -R, so the outcome comes
+    from comparing v with -R both ways, and the sum itself is never built.
     """
     if not p.heaps:
         return u.outcome(u.zero)
+    terms = _rcf_terms(p, spec, bound)
+    if terms is not None:
+        left, right = nugget.sum_stops(terms)
+        if left.sign() and right.sign():
+            return Outcome.from_wins(left.sign() > 0, right.sign() < 0)
     return u.outcome(_signed_value(u, spec, *p.heaps[0], bound), _minus_rest(u, p, 0, spec, bound))
 
 
@@ -204,6 +235,13 @@ def winning_move(
     one comparison.  Deterministic tie-break: smallest heap index, then
     smallest amount.
 
+    For golden each test is first read off the stops of G, as in
+    :func:`position_outcome`: R(G) > 0 gives G > 0 and R(G) < 0 gives not
+    G >= 0, and by the mirror image L(G) < 0 gives G < 0 and L(G) > 0 gives
+    not G <= 0.  A test is a win, a loss, or a tie that goes to the
+    comparison, so the moves are tried in the same order with the same
+    answers, and the first winning move is the oracle's.
+
     Only a mover who wins moving first searches.  The position's game has
     the legal moves as its options, and G <= 0 holds iff no Left option
     G^L has G^L >= 0 (the definition of <=, with 0 = { | }; Conway, *On
@@ -214,19 +252,27 @@ def winning_move(
     which ``geq`` has memoized when it ran first.
     """
     _check_mover(mover)
+    terms = _rcf_terms(p, spec, bound)
     minus_rests: dict[int, GameId] = {}
-    if p.heaps:
-        minus_rest = minus_rests[0] = _minus_rest(u, p, 0, spec, bound)
-        v = _signed_value(u, spec, *p.heaps[0], bound)
-        if u.geq(minus_rest, v) if mover == "L" else u.geq(v, minus_rest):
-            return None
+
+    def wins_second(player: str, index: int, size: int) -> bool:
+        """Whether ``player`` wins moving second once heap ``index`` holds
+        ``size`` tokens: Left iff G >= 0, Right iff G <= 0."""
+        if terms is not None:
+            left, right = nugget.sum_stops(terms[:index] + [(terms[index][0], nugget.heap_rcf(size))]
+                                           + terms[index + 1:])
+            sign = right.sign() if player == "L" else -left.sign()
+            if sign:
+                return sign > 0
+        if index not in minus_rests:
+            minus_rests[index] = _minus_rest(u, p, index, spec, bound)
+        v = _signed_value(u, spec, p.heaps[index][0], size, bound)
+        return u.geq(v, minus_rests[index]) if player == "L" else u.geq(minus_rests[index], v)
+
+    if p.heaps and wins_second("R" if mover == "L" else "L", 0, p.heaps[0][1]):
+        return None
     for move in legal_moves(spec, p, mover):
-        if move.index not in minus_rests:
-            minus_rests[move.index] = _minus_rest(u, p, move.index, spec, bound)
-        color, size = p.heaps[move.index]
-        v = _signed_value(u, spec, color, size - move.amount, bound)
-        minus_rest = minus_rests[move.index]
-        if u.geq(v, minus_rest) if mover == "L" else u.geq(minus_rest, v):
+        if wins_second(mover, move.index, p.heaps[move.index][1] - move.amount):
             return move
     return None
 

@@ -53,6 +53,16 @@ def test_rcf_text_of_a_deep_number_heap():
     assert (code, out) == (0, f"{{1|{nugget.s_val(1000)}}}\n")
 
 
+def test_a_long_refused_heap_is_named_by_its_last_digits(capsys):
+    # g_heap(3, 9000) has 3,763 digits; the refusal does not echo them
+    h = nugget.g_heap(3, 9000)
+    out, code = run(["number", str(h)])
+    assert (code, out) == (2, "")
+    line = capsys.readouterr().err
+    assert line == f"error: heap ...{h % 10**12:012d} ({h.bit_length()} bits) is not a positive number heap\n"
+    assert len(line) == 71
+
+
 def test_rcf_json_matches_the_game_route():
     heaps = list(range(301))
     for n in [*range(1, 400, 9), 400]:

@@ -1,3 +1,4 @@
+import random
 from math import isqrt
 
 import pytest
@@ -71,9 +72,12 @@ def test_xi_inverse_examples():
     assert nugget.xi_inverse(0) == ZERO and nugget.xi_inverse(1) == ONE
     # one heap per refusal: a negative heap, F2 used (2 = F2 + F2, in B), least
     # index F6 (8, in AB), and bits that are no value of Q (24 = F8 + F4 reads 9/16)
-    for h in (-1, 2, 8, 24):
+    for h in (-1, 2, 8, 24, 10**40 - 1):
         with pytest.raises(ValueError, match=f"^heap {h} is not a positive number heap$"):
             nugget.xi_inverse(h)
+    # past 40 digits a refusal names the last 12 digits and the bit length
+    with pytest.raises(ValueError, match=r"^heap \.\.\.000000000000 \(133 bits\) is not a positive number heap$"):
+        nugget.xi_inverse(10**40)
 
 
 def test_xi_accepts_exactly_the_positive_heap_values():
@@ -98,6 +102,43 @@ def test_heap_rcf_examples():
     # the g0 heaps F(2n+3) - 2 sit on the ladder s(n)
     for n in range(400):
         assert nugget.heap_rcf(fw.fib(2 * n + 3) - 2) == nugget.RcfValue("number", nugget.s_val(n))
+
+
+def _stops_of_the_summed_games(u, terms):
+    total = u.zero
+    for sign, value in terms:
+        game = value.to_game(u)
+        total = u.add(total, game if sign > 0 else u.negate(game))
+    return u.stops(total)
+
+
+def test_sum_stops_examples():
+    # {1|0} + {1|1/2}: means 1/2 and 3/4, temperatures 1/2 and 1/4
+    terms = [(1, nugget.heap_rcf(20)), (1, nugget.heap_rcf(16))]
+    assert nugget.sum_stops(terms) == (Dyadic(3, 1), ONE)
+    # red heaps count negatively; a number moves both stops
+    terms = [(-1, nugget.heap_rcf(20)), (1, nugget.heap_rcf(16)), (-1, nugget.heap_rcf(3))]
+    assert nugget.sum_stops(terms) == (ZERO, Dyadic(-1, 1))
+    assert nugget.sum_stops([]) == (ZERO, ZERO)
+
+
+def test_sum_stops_of_one_heap_are_its_forms_stops():
+    u = Universe()
+    heaps = [*range(201), *(nugget.g_heap(i, n) for i in (0, 1, 5) for n in range(1, 201))]
+    for h in heaps:
+        for sign in (1, -1):
+            terms = [(sign, nugget.heap_rcf(h))]
+            assert nugget.sum_stops(terms) == _stops_of_the_summed_games(u, terms), (sign, h)
+
+
+def test_sum_stops_of_seeded_sums_are_their_games_stops():
+    # two-heap sums stay far below row 249, where u.add of s(n) with itself
+    # exhausts the recursion limit
+    u, rng = Universe(), random.Random(0)
+    for count, top, draws in ((2, 60, 150), (3, 25, 100), (4, 12, 60)):
+        for _ in range(draws):
+            terms = [(rng.choice((1, -1)), nugget.heap_rcf(rng.randint(0, top))) for _ in range(count)]
+            assert nugget.sum_stops(terms) == _stops_of_the_summed_games(u, terms), terms
 
 
 def test_heap_canonical_examples():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldennugget import fibonacci as fw
 from goldennugget import nugget
 from goldennugget import positions as pos
 from goldennugget.dyadic import Dyadic
@@ -85,6 +88,42 @@ def test_comparison_route_matches_the_sum_definitions(shared_u, game, heaps):
     assert pos.position_outcome(u, p, spec) == u.outcome(pos.position_value(u, p, spec))
     for mover in ("L", "R"):
         assert pos.winning_move(u, p, mover, spec) == sum_route_winning_move(u, p, mover, spec)
+
+
+def test_stops_route_matches_the_oracle_route():
+    # the golden game under another name takes the oracle route for every test
+    oracle = nugget.CSGameSpec("golden-oracle", fw.in_a)
+    u, rng = Universe(), random.Random(0)
+    for _ in range(200):
+        p = pos.Position(tuple((rng.choice((pos.BLUE, pos.RED)), rng.randint(0, 60))
+                               for _ in range(rng.randint(1, 4))))
+        assert pos.position_outcome(u, p) == pos.position_outcome(u, p, oracle), p
+        for mover in ("L", "R"):
+            assert pos.winning_move(u, p, mover) == pos.winning_move(u, p, mover, oracle), (p, mover)
+
+
+def test_stops_decide_a_position_with_no_game_built(u):
+    p = pos.Position.parse("44b+7r+30r")
+    size = len(u)
+    assert pos.position_outcome(u, p) == Outcome.R
+    assert pos.winning_move(u, p, "L") is None
+    assert pos.winning_move(u, p, "R") == pos.Move(0, 2)
+    assert len(u) == size and u.cache("oracle") == {}
+
+
+def test_zero_stops_leave_the_position_to_the_oracle(u):
+    p = pos.Position.parse("17b+17r")
+    assert nugget.sum_stops([(1, nugget.heap_rcf(17)), (-1, nugget.heap_rcf(17))]) == (Dyadic(0), Dyadic(0))
+    assert pos.position_outcome(u, p) == Outcome.P
+    assert list(u.cache("oracle")) == ["golden"]
+
+
+def test_stops_route_refuses_the_first_heap_over_the_bound(u):
+    p, size = pos.Position.parse("3b+70r+65b"), len(u)
+    for solve in (lambda: pos.position_outcome(u, p), lambda: pos.winning_move(u, p, "L")):
+        with pytest.raises(ResourceLimitError, match="^heap 70 exceeds the oracle bound 60$"):
+            solve()
+    assert len(u) == size
 
 
 @pytest.mark.parametrize("game", ["golden", "oddeven", "beatty:sqrt2", "mod:3:L=1"])
