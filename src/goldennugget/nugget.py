@@ -373,9 +373,10 @@ class CSGameSpec:
     """A complementary subtraction game: Left removes members of the set A,
     Right removes the positive integers not in A.
 
-    The name is the spec's identity (equality within one class, hash, and the
-    universe's memo key), so it must be the normalized literal of ``member``,
-    A's membership test, as ``positions.parse_spec`` builds it.
+    The name is the spec's identity within one class (equality and hash), so
+    it must be the normalized literal of ``member``, A's membership test, as
+    ``positions.parse_spec`` builds it.  Specs of different classes are never
+    equal, so the oracle keys its memo by the spec itself.
     """
 
     def __init__(self, name: str, member: Callable[[int], bool]):
@@ -409,6 +410,12 @@ class GoldenSpec(CSGameSpec):
 GOLDEN = GoldenSpec()
 
 
+def check_bound(h: int, bound: int) -> None:
+    """Refuse a heap the oracle may not expand: one over ``bound``."""
+    if h > bound:
+        raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
+
+
 def heap_canonical(u: Universe, h: int, bound: int = ORACLE_BOUND) -> GameId:
     """Brute-force oracle: the canonical form of a heap, by full expansion.
 
@@ -422,16 +429,16 @@ def subtraction_canonical(u: Universe, spec: CSGameSpec, h: int, bound: int) -> 
     """The oracle for any subtraction game: heap h's canonical form in ``spec``.
 
     The forms of heaps 0, 1, 2, ... and both subtraction lists grow together
-    in one entry of the universe's "oracle" table, under the spec's name, so
-    each predicate runs once per k; a k whose predicate raised is not recorded.
+    in one entry of the universe's "oracle" table, under the spec, so equal
+    specs share one memo and each predicate runs once per k; a k whose
+    predicate raised is not recorded.
     Heap k's distinct option forms go straight to the canonical-form
     reduction: no record of every move is built.
     """
     if h < 0:
         raise ValueError(f"nonnegative integer required, got {h}")
-    if h > bound:
-        raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
-    forms, left, right = u.cache("oracle").setdefault(spec.name, ([], [], []))
+    check_bound(h, bound)
+    forms, left, right = u.cache("oracle").setdefault(spec, ([], [], []))
     for k in range(len(forms), h + 1):
         if k:
             to_left, to_right = spec.left_ok(k), spec.right_ok(k)

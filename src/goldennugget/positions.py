@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import nugget
-from .games import GameId, Outcome, ResourceLimitError, Universe
+from .games import GameId, Outcome, Universe
 from .nugget import GOLDEN, CSGameSpec, GoldenSpec  # noqa: F401  (perfbench builds positions.GoldenSpec())
 
 BLUE = "b"
@@ -149,22 +149,60 @@ def position_value(
     return u.canonical_form(total)
 
 
-def _minus_rest(u: Universe, p: Position, index: int, spec: CSGameSpec, bound: int) -> GameId:
-    """-R, where R is the value of every heap of p but the one at ``index``."""
-    rest = Position(p.heaps[:index] + p.heaps[index + 1:])
-    return u.negate(position_value(u, rest, spec, bound))
+def _second_player_test(u: Universe, p: Position, spec: CSGameSpec, bound: int):
+    """The one test every answer of a solve comes from: ``wins(player, index,
+    size)``, whether ``player`` wins moving second once heap ``index`` of p
+    holds ``size`` tokens.  For golden every heap is checked against the
+    bound first, in input order.
 
+    With v heap ``index``'s signed value and R_i the value of the other
+    heaps, the game is G = v + R_i; Left wins it moving second iff G >= 0,
+    and Right iff G <= 0.
 
-def _rcf_terms(p: Position, spec: CSGameSpec, bound: int) -> list | None:
-    """A golden position's heaps as signed reduced forms, for ``nugget.sum_stops``;
-    None for any other spec.  A heap over the bound is refused first, in input
-    order, as the oracle would refuse it."""
-    if spec != GOLDEN:
-        return None
-    for _, size in p.heaps:
-        if size > bound:
-            raise ResourceLimitError(f"heap {size} exceeds the oracle bound {bound}")
-    return [(-1 if color == RED else 1, nugget.heap_rcf(size)) for color, size in p.heaps]
+    For golden the sign of one stop of G decides first.  Each heap is
+    Inf-equivalent to its reduced canonical form, sums keep Inf-equivalence,
+    and Inf-equivalent games have the same stops (Grossman and Siegel,
+    "Reductions of partizan games"), so G's stops are those of the sum of the
+    heaps' ``heap_rcf`` forms, which ``nugget.sum_stops`` gives with no game
+    built, once per index and size.  Stops are monotone and a number is its own stop (Siegel,
+    *Combinatorial Game Theory*, ch. II), so G >= 0 gives R(G) >= 0: a right
+    stop < 0 means not G >= 0.  And a right stop > 0 gives G >= 0: if G is a
+    number, G = R(G); otherwise each Right option has a left stop >= R(G) > 0,
+    so none is <= 0.  So Left's answer is the sign of R(G), and by the mirror
+    image Right's is the sign of -L(G).  Only a stop of 0, a tie, is left
+    undecided.
+
+    Then, and for every other spec, G >= 0 iff v >= -R_i, so v is compared
+    with -R_i, built once per index, and the sum itself is never built.  The
+    comparison is ``u.outcome(v, -R_i)``, both ways, not one ``geq``:
+    perfbench's tracer requires ``games.outcome`` to fire on its solve
+    workload (ROADMAP item 1), and a version making one ``geq`` per tie gave
+    the same answers but failed the traced self-check.
+    """
+    terms = None
+    if spec == GOLDEN:
+        for _, size in p.heaps:
+            nugget.check_bound(size, bound)
+        terms = [(-1 if color == RED else 1, nugget.heap_rcf(size)) for color, size in p.heaps]
+    stops: dict[tuple[int, int], tuple] = {}
+    minus_rests: dict[int, GameId] = {}
+
+    def wins(player: str, index: int, size: int) -> bool:
+        if terms is not None:
+            if (index, size) not in stops:
+                stops[index, size] = nugget.sum_stops(terms[:index] + [(terms[index][0], nugget.heap_rcf(size))]
+                                                      + terms[index + 1:])
+            left, right = stops[index, size]
+            sign = right.sign() if player == "L" else -left.sign()
+            if sign:
+                return sign > 0
+        v = _signed_value(u, spec, p.heaps[index][0], size, bound)
+        if index not in minus_rests:
+            rest = Position(p.heaps[:index] + p.heaps[index + 1:])
+            minus_rests[index] = u.negate(position_value(u, rest, spec, bound))
+        return u.outcome(v, minus_rests[index]) in (Outcome.P, Outcome.L if player == "L" else Outcome.R)
+
+    return wins
 
 
 def position_outcome(
@@ -173,33 +211,13 @@ def position_outcome(
     spec: CSGameSpec = GOLDEN,
     bound: int = nugget.ORACLE_BOUND,
 ) -> Outcome:
-    """Outcome of the sum G = v + R, v the first heap's value and R the rest's.
-
-    For golden the stops of G decide it first.  Each heap is Inf-equivalent
-    to its reduced canonical form, sums keep Inf-equivalence, and
-    Inf-equivalent games have the same stops (Grossman and Siegel,
-    "Reductions of partizan games"), so G's stops are those of the sum of
-    the heaps' ``heap_rcf`` forms, which ``nugget.sum_stops`` gives with no
-    game built.  Stops are monotone and a number is its own stop (Siegel,
-    *Combinatorial Game Theory*, ch. II), so G <= 0 gives L(G) <= 0: a left
-    stop > 0 means not G <= 0, that is, Left wins moving first.  And a right
-    stop > 0 gives G > 0: if G is a number, G = R(G); otherwise each Right
-    option has a left stop >= R(G) > 0, so none is <= 0, hence G >= 0, and
-    G != 0 as its stops are not 0's.  So Right loses moving first.  By the
-    mirror image, a right stop < 0 means Right wins moving first and a left
-    stop < 0 that Left loses.  Only a stop of 0, a tie, is left undecided.
-
-    Then, and for every other spec, G >= 0 iff v >= -R, so the outcome comes
-    from comparing v with -R both ways, and the sum itself is never built.
-    """
+    """Outcome of the position: a player wins moving first iff the other
+    does not win moving second (:func:`_second_player_test`)."""
     if not p.heaps:
         return u.outcome(u.zero)
-    terms = _rcf_terms(p, spec, bound)
-    if terms is not None:
-        left, right = nugget.sum_stops(terms)
-        if left.sign() and right.sign():
-            return Outcome.from_wins(left.sign() > 0, right.sign() < 0)
-    return u.outcome(_signed_value(u, spec, *p.heaps[0], bound), _minus_rest(u, p, 0, spec, bound))
+    wins = _second_player_test(u, p, spec, bound)
+    size = p.heaps[0][1]
+    return Outcome.from_wins(not wins("R", 0, size), not wins("L", 0, size))
 
 
 def _check_mover(mover: str) -> None:
@@ -229,50 +247,24 @@ def winning_move(
 ) -> Move | None:
     """Some move after which the mover wins going second, or None.
 
-    A move turning heap i into signed value v leaves G = v + R_i, R_i the
-    value of the other heaps.  Left wins it iff G >= 0, i.e. v >= -R_i;
-    Right iff v <= -R_i.  So -R_i is built once per heap and each move costs
-    one comparison.  Deterministic tie-break: smallest heap index, then
-    smallest amount.
-
-    For golden each test is first read off the stops of G, as in
-    :func:`position_outcome`: R(G) > 0 gives G > 0 and R(G) < 0 gives not
-    G >= 0, and by the mirror image L(G) < 0 gives G < 0 and L(G) > 0 gives
-    not G <= 0.  A test is a win, a loss, or a tie that goes to the
-    comparison, so the moves are tried in the same order with the same
-    answers, and the first winning move is the oracle's.
+    Each move is one call of :func:`_second_player_test`.  Deterministic
+    tie-break: smallest heap index, then smallest amount.
 
     Only a mover who wins moving first searches.  The position's game has
     the legal moves as its options, and G <= 0 holds iff no Left option
     G^L has G^L >= 0 (the definition of <=, with 0 = { | }; Conway, *On
     Numbers and Games*; Siegel, *Combinatorial Game Theory*, ch. II).  So
-    Left has a winning move iff not G <= 0, and Right, by symmetry, iff not
-    G >= 0.  With v_0 the first heap's value, G <= 0 iff -R_0 >= v_0 and
-    G >= 0 iff v_0 >= -R_0: the two comparisons of :func:`position_outcome`,
-    which ``geq`` has memoized when it ran first.
+    Left has a winning move iff not G <= 0, that is, unless Right wins
+    moving second, and Right, by symmetry, unless Left does: the test of
+    :func:`position_outcome`, whose comparisons ``geq`` has memoized when
+    it ran first.
     """
     _check_mover(mover)
-    terms = _rcf_terms(p, spec, bound)
-    minus_rests: dict[int, GameId] = {}
-
-    def wins_second(player: str, index: int, size: int) -> bool:
-        """Whether ``player`` wins moving second once heap ``index`` holds
-        ``size`` tokens: Left iff G >= 0, Right iff G <= 0."""
-        if terms is not None:
-            left, right = nugget.sum_stops(terms[:index] + [(terms[index][0], nugget.heap_rcf(size))]
-                                           + terms[index + 1:])
-            sign = right.sign() if player == "L" else -left.sign()
-            if sign:
-                return sign > 0
-        if index not in minus_rests:
-            minus_rests[index] = _minus_rest(u, p, index, spec, bound)
-        v = _signed_value(u, spec, p.heaps[index][0], size, bound)
-        return u.geq(v, minus_rests[index]) if player == "L" else u.geq(minus_rests[index], v)
-
-    if p.heaps and wins_second("R" if mover == "L" else "L", 0, p.heaps[0][1]):
+    wins = _second_player_test(u, p, spec, bound)
+    if p.heaps and wins("R" if mover == "L" else "L", 0, p.heaps[0][1]):
         return None
     for move in legal_moves(spec, p, mover):
-        if wins_second(mover, move.index, p.heaps[move.index][1] - move.amount):
+        if wins(mover, move.index, p.heaps[move.index][1] - move.amount):
             return move
     return None
 

@@ -1,9 +1,9 @@
 """Named verification suites, one per module's invariant block.
 
-Every suite returns a list of :class:`Check` results computed with exact
-arithmetic at the stated bounds; the CLI ``verify`` subcommand prints them
-and exits nonzero when anything fails.  Randomized checks draw from a
-seeded generator so runs are reproducible.
+Every suite yields :class:`Check` results computed with exact arithmetic
+at the stated bounds; the CLI ``verify`` subcommand prints them and exits
+nonzero when anything fails.  Randomized checks draw from a seeded
+generator so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -31,27 +31,20 @@ class Check(namedtuple("Check", "name ok detail elapsed", defaults=("", 0.0))):
         return f"{status}  {self.name}{tail}"
 
 
-class Recorder:
-    def __init__(self):
-        self.checks: list[Check] = []
+def sweep(name: str, pairs) -> Check:
+    """One check from (ok, detail) tuples: the first failure, and the time taken.
 
-    def add(self, name: str, ok: bool, detail: str = "", elapsed: float = 0.0) -> None:
-        self.checks.append(Check(name, bool(ok), detail, elapsed))
-
-    def sweep(self, name: str, pairs) -> None:
-        """Consume (ok, detail) tuples, recording the first failure and the time taken.
-
-        The sweep stops at its first ``(False, detail)``: the generator is not
-        resumed, so it need not return after yielding a failure.  A sweep that
-        yields nothing passes, so a generator need yield only its failures.
-        """
-        start = time.perf_counter()
-        for ok, detail in pairs:
-            if not ok:
-                break
-        else:
-            ok, detail = True, ""
-        self.add(name, ok, detail, time.perf_counter() - start)
+    The sweep stops at its first ``(False, detail)``: the generator is not
+    resumed, so it need not return after yielding a failure.  A sweep that
+    yields nothing passes, so a generator need yield only its failures.
+    """
+    start = time.perf_counter()
+    for ok, detail in pairs:
+        if not ok:
+            break
+    else:
+        ok, detail = True, ""
+    return Check(name, bool(ok), detail, time.perf_counter() - start)
 
 
 def _random_game(u: Universe, rng: random.Random, depth: int) -> int:
@@ -67,8 +60,7 @@ def _random_game(u: Universe, rng: random.Random, depth: int) -> int:
 # -- game-core ---------------------------------------------------------------
 
 
-def suite_game_core(bound: int = 60, seed: int = 0) -> list[Check]:
-    rec = Recorder()
+def suite_game_core(bound: int = 60, seed: int = 0):
     u = Universe()
     rng = random.Random(seed)
     games = [_random_game(u, rng, 4) for _ in range(120)]
@@ -80,8 +72,8 @@ def suite_game_core(bound: int = 60, seed: int = 0) -> list[Check]:
                 agree = u.geq(g, h) and u.geq(h, g)
                 yield same == agree, f"g={u.to_text(g)} h={u.to_text(h)}"
 
-    rec.sweep("hash-consing: equal canonical id iff geq both ways", consing())
-    rec.sweep(
+    yield sweep("hash-consing: equal canonical id iff geq both ways", consing())
+    yield sweep(
         "group law: g + (-g) is a second-player win",
         ((u.outcome(u.add(g, u.negate(g))) == Outcome.P, u.to_text(g)) for g in games),
     )
@@ -93,14 +85,14 @@ def suite_game_core(bound: int = 60, seed: int = 0) -> list[Check]:
                 yield u.as_number(u.from_number(d)) == d, str(d)
                 yield u.negate(u.from_number(d)) == u.from_number(-d), str(d)
 
-    rec.sweep("number closure on a dyadic grid", closure())
+    yield sweep("number closure on a dyadic grid", closure())
 
     def sandwich():
         for h in range(bound + 1):
             left, right = u.stops(nugget.heap_canonical(u, h, bound=bound))
             yield left >= right, f"h={h}"
 
-    rec.sweep(f"stop sandwich L >= R on heaps <= {bound}", sandwich())
+    yield sweep(f"stop sandwich L >= R on heaps <= {bound}", sandwich())
 
     def consistency():
         for g in games:
@@ -110,33 +102,28 @@ def suite_game_core(bound: int = 60, seed: int = 0) -> list[Check]:
                     (False, True): Outcome.R, (False, False): Outcome.N}[(ge, le)]
             yield o == want, u.to_text(g)
 
-    rec.sweep("outcome matches geq against zero", consistency())
+    yield sweep("outcome matches geq against zero", consistency())
 
     star = u.make_game([u.zero], [u.zero])
     up = u.make_game([u.zero], [star])
     for x in (HALF, ONE):
         switch = u.make_game([u.from_number(x)], [u.zero])
-        rec.add(
-            f"{{{x}|0}} plus up is positive",
-            u.outcome(u.add(switch, up)) == Outcome.L,
-        )
-    return rec.checks
+        yield Check(f"{{{x}|0}} plus up is positive", u.outcome(u.add(switch, up)) == Outcome.L)
 
 
 # -- rcf ----------------------------------------------------------------------
 
 
-def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
-    rec = Recorder()
+def suite_rcf(bound: int = 60, seed: int = 0):
     u = Universe()
     heaps = [nugget.heap_canonical(u, h, bound=bound) for h in range(bound + 1)]
     reduced = [reduced_canonical_form(u, g) for g in heaps]
 
-    rec.sweep(
+    yield sweep(
         "idempotence: rcf(rcf(g)) is the same id",
         ((reduced_canonical_form(u, r) == r, f"h={h}") for h, r in enumerate(reduced)),
     )
-    rec.sweep(
+    yield sweep(
         "soundness: g infinitesimally equals rcf(g)",
         ((eq_inf(u, g, r), f"h={h}") for h, (g, r) in enumerate(zip(heaps, reduced))),
     )
@@ -153,19 +140,19 @@ def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
             )
             yield ok, f"h={h}: {u.to_text(r)}"
 
-    rec.sweep("minimality: every reduced heap is a number or {1|x}", shapes())
-    rec.sweep(
+    yield sweep("minimality: every reduced heap is a number or {1|x}", shapes())
+    yield sweep(
         "stops are invariant under reduction",
         ((u.stops(g) == u.stops(r), f"h={h}") for h, (g, r) in enumerate(zip(heaps, reduced))),
     )
 
     one = u.from_number(ONE)
     g10 = u.make_game([one], [u.zero])
-    rec.add("1 >=I {1|0} but not conversely",
-            geq_inf(u, one, g10) and not geq_inf(u, g10, one))
+    yield Check("1 >=I {1|0} but not conversely",
+                geq_inf(u, one, g10) and not geq_inf(u, g10, one))
     half_switch = u.make_game([u.from_number(HALF)], [u.zero])
-    rec.add("{1/2|0} >=I 0 strictly",
-            geq_inf(u, half_switch, u.zero) and not geq_inf(u, u.zero, half_switch))
+    yield Check("{1/2|0} >=I 0 strictly",
+                geq_inf(u, half_switch, u.zero) and not geq_inf(u, u.zero, half_switch))
 
     rng = random.Random(seed)
     games = [_random_game(u, rng, 3) for _ in range(120)]
@@ -178,7 +165,7 @@ def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
                 close = eq_inf(u, games[i], games[j])
                 yield same == close, f"{u.to_text(games[i])} vs {u.to_text(games[j])}"
 
-    rec.sweep("random games: same reduced id iff infinitesimally close", uniqueness())
+    yield sweep("random games: same reduced id iff infinitesimally close", uniqueness())
 
     def structure():
         seen: set[int] = set()
@@ -206,16 +193,14 @@ def suite_rcf(bound: int = 60, seed: int = 0) -> list[Check]:
                     f"Inf-reversible right option in {u.to_text(r)}"
             stack.extend(ls + rs)
 
-    rec.sweep("random games: outputs carry no Inf-dominated or Inf-reversible options",
-              structure())
-    return rec.checks
+    yield sweep("random games: outputs carry no Inf-dominated or Inf-reversible options",
+                structure())
 
 
 # -- fibonacci ------------------------------------------------------------------
 
 
-def suite_fibonacci(seed: int = 0) -> list[Check]:
-    rec = Recorder()
+def suite_fibonacci(seed: int = 0):
     rng = random.Random(seed)
 
     def kimberling():
@@ -226,7 +211,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             yield fw.b_seq(a) == a + b - 1, f"BA at {n}"
             yield fw.b_seq(b) == a + 2 * b, f"B2 at {n}"
 
-    rec.sweep("Kimberling identities, n <= 10^4", kimberling())
+    yield sweep("Kimberling identities, n <= 10^4", kimberling())
 
     def fibonacci_points():
         for n in range(1, 26):
@@ -235,7 +220,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             yield fw.a_seq(fw.fib(2 * n)) == fw.fib(2 * n + 1) - 1, f"A(F{2*n})"
             yield fw.b_seq(fw.fib(2 * n)) == fw.fib(2 * n + 2) - 1, f"B(F{2*n})"
 
-    rec.sweep("A and B at Fibonacci points, n <= 25", fibonacci_points())
+    yield sweep("A and B at Fibonacci points, n <= 25", fibonacci_points())
 
     def generalized():
         for n in range(1, 13):
@@ -249,7 +234,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                     yield (fw.fib(2 * n) * a + fw.fib(2 * n + 1) * b - fw.fib(2 * n + 1)
                            == fw.compose_ab("A" + "B" * n + "A", i)), f"ABnA n={n} i={i}"
 
-    rec.sweep("generalized Kimberling, n <= 12, i <= 500", generalized())
+    yield sweep("generalized Kimberling, n <= 12, i <= 500", generalized())
 
     def gaps():
         # gap pairs per word, keyed by whether i-1 lands in B (small) or A
@@ -270,7 +255,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                     db = fw.compose_ab(bna, i) - fw.compose_ab(bna, i - 1)
                     yield da == db, f"permutation alignment n={n} i={i}"
 
-    rec.sweep("first-difference gaps keyed to A vs B, n <= 8, i <= 500", gaps())
+    yield sweep("first-difference gaps keyed to A vs B, n <= 8, i <= 500", gaps())
 
     def additivity():
         # distinct even indices 2..24
@@ -286,7 +271,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             if g:
                 yield fw.a_seq(h) == g, f"coeffs={coeffs}"
 
-    rec.sweep("additivity over even Fibonacci sums, indices <= 24", additivity())
+    yield sweep("additivity over even Fibonacci sums, indices <= 24", additivity())
 
     def even_runs():
         for m in range(1, 12):
@@ -296,7 +281,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                 if m > 1:
                     yield fw.in_a(run + fw.fib(2 * n)), f"run+double m={m} n={n}"
 
-    rec.sweep("consecutive even runs land in A", even_runs())
+    yield sweep("consecutive even runs land in A", even_runs())
 
     def word_counts():
         for _ in range(300):
@@ -305,7 +290,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             yield img.count("b") == w.count("a"), w
             yield img.count("a") == len(w), w
 
-    rec.sweep("morphism letter counts on random words", word_counts())
+    yield sweep("morphism letter counts on random words", word_counts())
 
     def prefix_counts():
         for n in range(26):
@@ -315,21 +300,21 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             yield len(w) == fw.fib(n + 2), f"length n={n}"
             yield fw.weighted_count(w, 1, 2) == fw.fib(n + 3), f"S12 n={n}"
 
-    rec.sweep("phi^n letter counts and S_{1,2}, n <= 25", prefix_counts())
+    yield sweep("phi^n letter counts and S_{1,2}, n <= 25", prefix_counts())
 
     def doubling():
         for n in range(2, 21):
             w = fw.morphism_power(n)
             yield fw.word_prefix(2 * fw.fib(n + 2)) == w + w, f"n={n}"
 
-    rec.sweep("the word starts with phi^n phi^n, 2 <= n <= 20", doubling())
+    yield sweep("the word starts with phi^n phi^n, 2 <= n <= 20", doubling())
 
     def palindromes():
         for n in range(3, 25):
             p = fw.word_prefix(fw.fib(n) - 2)
             yield p == p[::-1], f"n={n}"
 
-    rec.sweep("prefixes of length F(n)-2 are palindromes, n <= 24", palindromes())
+    yield sweep("prefixes of length F(n)-2 are palindromes, n <= 24", palindromes())
 
     def factor_counts():
         for n in range(2, 21):
@@ -343,14 +328,14 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                 if count != fw.fib(n - 2):
                     yield False, f"n={n} start={start}"
 
-    rec.sweep("every length-F(n) factor has F(n-2) b's, n <= 20", factor_counts())
+    yield sweep("every length-F(n) factor has F(n-2) b's, n <= 20", factor_counts())
 
     def letter_link():
         w = fw.word_prefix(10**5)
         for k in range(1, 10**5 + 1):
             yield (w[k - 1] == "a") == fw.in_a(k), f"k={k}"
 
-    rec.sweep("k-th letter is a iff k in A, k <= 10^5", letter_link())
+    yield sweep("k-th letter is a iff k in A, k <= 10^5", letter_link())
 
     def wythoff_weights():
         for n in range(0, 2001):
@@ -358,7 +343,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             yield fw.weighted_count(w, 1, 2) == fw.a_seq(n), f"S12 n={n}"
             yield fw.weighted_count(w, 2, 3) == fw.b_seq(n), f"S23 n={n}"
 
-    rec.sweep("S_{1,2}(W_n) = A(n) and S_{2,3}(W_n) = B(n), n <= 2000", wythoff_weights())
+    yield sweep("S_{1,2}(W_n) = A(n) and S_{2,3}(W_n) = B(n), n <= 2000", wythoff_weights())
 
     def shift_membership():
         for n in range(2, 21):
@@ -366,7 +351,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             for k in range(1, f + 2):
                 yield (fw.in_a(k + f) == fw.in_a(k)), f"n={n} k={k}"
 
-    rec.sweep("A is invariant under shifts by F(n+3), n <= 20", shift_membership())
+    yield sweep("A is invariant under shifts by F(n+3), n <= 20", shift_membership())
 
     def block_shifts():
         for n in range(1, 11):
@@ -381,7 +366,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                 yield (fw.compose_ab("AB", k + fw.fib(2 * n - 1)) - fw.compose_ab("AB", k)
                        == fw.fib(2 * n + 2)), f"(iv) n={n} k={k}"
 
-    rec.sweep("B^2 and AB shift identities, n <= 10", block_shifts())
+    yield sweep("B^2 and AB shift identities, n <= 10", block_shifts())
 
     def bb_not_ab():
         bs = [fw.b_seq(i) for i in range(2001)]
@@ -391,7 +376,7 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
                 if (i or j) and bs[i] + bs[j] in ab_values:
                     yield False, f"B({i})+B({j})"
 
-    rec.sweep("B(i)+B(j) never equals AB(n), i,j,n <= 2000", bb_not_ab())
+    yield sweep("B(i)+B(j) never equals AB(n), i,j,n <= 2000", bb_not_ab())
 
     def frac_gaps():
         for n in range(1, 10**5 + 1):
@@ -399,24 +384,24 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
             yield fw.a_seq(b + 1) == fw.a_seq(b) + 1, f"B side n={n}"
             yield fw.a_seq(a + 1) == fw.a_seq(a) + 2, f"A side n={n}"
 
-    rec.sweep("integer form of the fractional-part bounds, n <= 10^5", frac_gaps())
+    yield sweep("integer form of the fractional-part bounds, n <= 10^5", frac_gaps())
 
     def even_vs_z1():
         for x in range(1, 10**5 + 1):
             odd = fw.z1(x) % 2 == 1
             yield odd == _tail_is_special(fw.even_repr(x).counts()), f"x={x}"
 
-    rec.sweep("z1 odd iff the even tail is F2+...+F(2i)+2F(2i+2), x <= 10^5", even_vs_z1())
+    yield sweep("z1 odd iff the even tail is F2+...+F(2i)+2F(2i+2), x <= 10^5", even_vs_z1())
 
     def least_index_four():
         for n in range(1, 5001):
             h = fw.compose_ab("BB", n) + 1
             yield fw.even_repr(h).least_index() == 4, f"n={n}"
 
-    rec.sweep("B^2(n)+1 has least even index 4, n <= 5000", least_index_four())
+    yield sweep("B^2(n)+1 has least even index 4, n <= 5000", least_index_four())
 
-    rec.sweep("B^2(n) - AB(i) avoids A, n,i <= 2000", _not1_first())
-    rec.sweep("F(2n+1) - AB(i) - 3 avoids A", _not1_second())
+    yield sweep("B^2(n) - AB(i) avoids A, n,i <= 2000", _not1_first())
+    yield sweep("F(2n+1) - AB(i) - 3 avoids A", _not1_second())
 
     def complementarity():
         # every x is A(n) or B(n) for exactly one n >= 1, and in_a says which
@@ -427,14 +412,13 @@ def suite_fibonacci(seed: int = 0) -> list[Check]:
         for x in range(1, 10**5 + 1):
             yield hits.get(x) == [fw.in_a(x)], f"x={x}"
 
-    rec.sweep("A and B are complementary, x <= 10^5", complementarity())
+    yield sweep("A and B are complementary, x <= 10^5", complementarity())
 
     def zeck_even_agree():
         for x in range(1, 20001):
             yield fw.ze_transform(fw.zeckendorf(x)).terms == fw.even_repr(x).terms, f"x={x}"
 
-    rec.sweep("rewrite path equals greedy even representation, x <= 2*10^4", zeck_even_agree())
-    return rec.checks
+    yield sweep("rewrite path equals greedy even representation, x <= 2*10^4", zeck_even_agree())
 
 
 def _tail_is_special(counts: dict[int, int]) -> bool:
@@ -500,8 +484,7 @@ def oracle_classifier_agreement(u: Universe, bound: int):
             yield u.as_number(g) == nugget.xi_inverse(h), f"number h={h}"
 
 
-def suite_nugget(bound: int = 60) -> list[Check]:
-    rec = Recorder()
+def suite_nugget(bound: int = 60):
     u = Universe()
 
     def partition():
@@ -520,7 +503,7 @@ def suite_nugget(bound: int = 60) -> list[Check]:
             got = nugget.classify(h)
             yield got == kinds[h], f"h={h}: {got} vs {kinds[h]}"
 
-    rec.sweep("classify matches forward enumeration, h <= 10^5", partition())
+    yield sweep("classify matches forward enumeration, h <= 10^5", partition())
 
     def partition_rows():
         table = nugget.partition_table(14)
@@ -528,7 +511,7 @@ def suite_nugget(bound: int = 60) -> list[Check]:
         for label, row in table.items():
             yield row == PARTITION_TABLE[label], f"{label}: {row}"
 
-    rec.sweep("partition table rows reproduce", partition_rows())
+    yield sweep("partition table rows reproduce", partition_rows())
 
     def xi_round_trip():
         seen: dict[Dyadic, int] = {}
@@ -540,9 +523,9 @@ def suite_nugget(bound: int = 60) -> list[Check]:
                 yield False, f"collision {seen[d]} vs {h}"
             seen[d] = h
 
-    rec.sweep("xi round trip and injectivity on Q up to 10^6", xi_round_trip())
+    yield sweep("xi round trip and injectivity on Q up to 10^6", xi_round_trip())
 
-    rec.sweep(f"oracle vs classifier, h <= {bound}", oracle_classifier_agreement(u, bound))
+    yield sweep(f"oracle vs classifier, h <= {bound}", oracle_classifier_agreement(u, bound))
 
     def anchors():
         for n in range(4):
@@ -554,14 +537,14 @@ def suite_nugget(bound: int = 60) -> list[Check]:
             yield nugget.xi_inverse(fw.fib(2 * n + 3) - 2) == nugget.s_val(n), f"xi s({n})"
             yield nugget.xi_inverse(fw.fib(2 * n + 4) - 2) == nugget.q_val(n), f"xi q({n})"
 
-    rec.sweep("number ladders: oracle to n=3, xi to n=20", anchors())
+    yield sweep("number ladders: oracle to n=3, xi to n=20", anchors())
 
     def number_range():
         for h in nugget.q_members(10**5):
             d = nugget.xi_inverse(h)
             yield HALF <= d < ONE, f"h={h} -> {d}"
 
-    rec.sweep("number heaps evaluate inside [1/2, 1), h <= 10^5", number_range())
+    yield sweep("number heaps evaluate inside [1/2, 1), h <= 10^5", number_range())
 
     def parity_vs_order():
         members = nugget.q_members(10**4)
@@ -572,7 +555,7 @@ def suite_nugget(bound: int = 60) -> list[Check]:
                 if odd != (values[h2] > values[h1]):
                     yield False, f"h1={h1} h2={h2}"
 
-    rec.sweep("z1 parity of differences decides value order on Q up to 10^4", parity_vs_order())
+    yield sweep("z1 parity of differences decides value order on Q up to 10^4", parity_vs_order())
 
     def switch_recursion():
         for n in range(1, 7):
@@ -592,7 +575,7 @@ def suite_nugget(bound: int = 60) -> list[Check]:
                     if not fw.in_a(nugget.g_heap(i, n) - base):
                         yield False, f"membership n={n} m={m} i={i}"
 
-    rec.sweep("switch-family differences recurse and stay in A", switch_recursion())
+    yield sweep("switch-family differences recurse and stay in A", switch_recursion())
 
     def half_switch_family():
         for n in range(1, 2001):
@@ -601,7 +584,7 @@ def suite_nugget(bound: int = 60) -> list[Check]:
             yield not fw.in_b(h), f"h n={n}"
             yield fw.in_a(h - 4), f"h-4 n={n}"
 
-    rec.sweep("the {1|1/2} family: moves to heaps 3 and 4, n <= 2000", half_switch_family())
+    yield sweep("the {1|1/2} family: moves to heaps 3 and 4, n <= 2000", half_switch_family())
 
     def conjecture_probe():
         for n in (1, 2, 3):
@@ -610,9 +593,8 @@ def suite_nugget(bound: int = 60) -> list[Check]:
             want = u.make_game([u.from_number(ONE)], [u.from_number(nugget.s_val(n))])
             yield got == want, f"h={h}"
 
-    rec.sweep("probe (empirical only): <2F(2n+3)-2> is literally {1|s(n)}, n <= 3",
-              conjecture_probe())
-    return rec.checks
+    yield sweep("probe (empirical only): <2F(2n+3)-2> is literally {1|s(n)}, n <= 3",
+                conjecture_probe())
 
 
 # -- positions ----------------------------------------------------------------------
@@ -657,8 +639,7 @@ def sum_route_winning_move(u: Universe, p: pos.Position, mover: str, spec: nugge
     return None
 
 
-def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
-    rec = Recorder()
+def suite_positions(bound: int = 25, seed: int = 0):
     u = Universe()
     rng = random.Random(seed)
     spec = nugget.GOLDEN
@@ -671,7 +652,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
         )
         samples.append(pos.Position(heaps))
 
-    rec.sweep(
+    yield sweep(
         "sum outcome agrees with direct alternating search",
         ((pos.position_outcome(u, p, spec, bound=bound) == brute_position_outcome(spec, p), str(p))
          for p in samples),
@@ -686,7 +667,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
             yield (pos.position_outcome(u, mirrored, spec, bound=bound)
                    == flip[pos.position_outcome(u, p, spec, bound=bound)]), str(p)
 
-    rec.sweep("swapping colors negates values and mirrors outcomes", antisymmetry())
+    yield sweep("swapping colors negates values and mirrors outcomes", antisymmetry())
 
     def move_soundness():
         small: list[pos.Position] = []
@@ -704,7 +685,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
                 want = sum_route_winning_move(u, p, mover, spec, bound=15)
                 yield move == want, f"{p} {mover}: {move} vs {want}"
 
-    rec.sweep("winning moves win; absent means all moves lose (heaps <= 15)", move_soundness())
+    yield sweep("winning moves win; absent means all moves lose (heaps <= 15)", move_soundness())
 
     def beatty_outcomes():
         for game_spec in (nugget.GOLDEN, pos.parse_spec("beatty:sqrt2")):
@@ -713,7 +694,7 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
                 want = Outcome.P if h == 0 else (Outcome.L if game_spec.left_ok(h) else Outcome.N)
                 yield outcomes[h] == want, f"{game_spec.name} h={h}"
 
-    rec.sweep("Beatty games: heap in A -> L, in B -> N, zero -> P (h <= 2000)", beatty_outcomes())
+    yield sweep("Beatty games: heap in A -> L, in B -> N, zero -> P (h <= 2000)", beatty_outcomes())
 
     def odd_even_values():
         for h in range(31):
@@ -727,15 +708,14 @@ def suite_positions(bound: int = 25, seed: int = 0) -> list[Check]:
                 built = u.canonical_form(u.make_game([u.from_number(ONE)], [u.zero, prev]))
                 yield value == built, f"h={h}"
 
-    rec.sweep("odd/even game matches both closed forms, h <= 30", odd_even_values())
+    yield sweep("odd/even game matches both closed forms, h <= 30", odd_even_values())
 
     probe = pos.periodicity_probe(pos.ODD_EVEN, 200)
-    rec.add("odd/even outcome sequence has period 2 from h=1",
-            probe.period == 2 and probe.preperiod == 1, str(probe))
+    yield Check("odd/even outcome sequence has period 2 from h=1",
+                probe.period == 2 and probe.preperiod == 1, str(probe))
     probe = pos.periodicity_probe(nugget.GOLDEN, 5000)
-    rec.add("GoldenNugget outcome sequence shows no period up to 5000",
-            not probe.found(), str(probe))
-    return rec.checks
+    yield Check("GoldenNugget outcome sequence shows no period up to 5000",
+                not probe.found(), str(probe))
 
 
 # -- cli ----------------------------------------------------------------------------
@@ -765,15 +745,14 @@ GOLDEN_RCF_TABLE = """h\trcf
 """
 
 
-def suite_cli() -> list[Check]:
+def suite_cli():
     # imported lazily so the engine modules stay CLI-free
     import json
 
     from . import cli
 
-    rec = Recorder()
     table, _ = cli.capture(["table", "--kind", "rcf", "--max", "20"])
-    rec.add("rcf table bytes match the golden transcription", table == GOLDEN_RCF_TABLE)
+    yield Check("rcf table bytes match the golden transcription", table == GOLDEN_RCF_TABLE)
 
     u = Universe()
 
@@ -800,8 +779,7 @@ def suite_cli() -> list[Check]:
                 r = fw.parse_repr(payload["terms"], payload["kind"])
                 yield r.value() == payload["value"], str(argv)
 
-    rec.sweep("printed JSON parses back to equal objects", json_round_trips())
-    return rec.checks
+    yield sweep("printed JSON parses back to equal objects", json_round_trips())
 
 
 SUITES = {

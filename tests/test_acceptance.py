@@ -80,7 +80,7 @@ ENVELOPES = {
 def run_suite(suite):
     """The suite's checks and their times (None: the whole suite), run once per session."""
     start = time.perf_counter()
-    checks = verify.SUITES[suite]()
+    checks = list(verify.SUITES[suite]())
     return checks, {None: time.perf_counter() - start, **{c.name: c.elapsed for c in checks}}
 
 

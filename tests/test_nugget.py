@@ -152,20 +152,21 @@ def test_heap_canonical_examples():
         nugget.heap_canonical(u, -1)
 
 
+def test_the_oracle_memo_is_keyed_by_the_spec():
+    # a spec of another class named "golden" is another game, with its own memo
+    u = Universe()
+    nugget.subtraction_canonical(u, nugget.CSGameSpec("golden", lambda k: k % 2 == 1), 5, 60)
+    assert u.to_text(nugget.heap_canonical(u, 5)) == "{1,{1|0}|0}"
+    # an equal spec shares one
+    assert nugget.subtraction_canonical(u, GoldenSpec(), 9, 60) == nugget.heap_canonical(u, 9)
+    assert len(u.cache("oracle")) == 2
+
+
 def test_heap_values_from_oracle():
     u = Universe()
     assert u.as_number(nugget.heap_canonical(u, 11)) == Dyadic(5, 3)
     assert u.as_number(nugget.heap_canonical(u, 3)) == Dyadic(1, 1)
     assert u.as_number(nugget.heap_canonical(u, 2)) is None
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 10**60), st.integers(1, 200))
-def test_classify_far_beyond_the_forward_enumeration(m, n):
-    assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
-    assert nugget.classify(fw.b_seq(m)).kind == "b"
-    assert nugget.classify(fw.compose_ab("AB", m) + 1).kind == "ab-hat"
-    assert nugget.classify(fw.compose_ab("BB", m) + 1).kind == "b2-hat"
 
 
 def test_classify_every_g_row_far_beyond_the_forward_enumeration():
@@ -212,16 +213,72 @@ def _classify_by_search(h):
     raise AssertionError(h)
 
 
-def test_classify_matches_the_search_up_to_2e5():
+@pytest.fixture
+def isqrt_calls(monkeypatch):
+    """The arguments of every isqrt the package takes from here on."""
+    calls = []
+
+    def counting_isqrt(x):
+        calls.append(x)
+        return isqrt(x)
+
+    monkeypatch.setattr(fw, "isqrt", counting_isqrt)
+    monkeypatch.setattr(nugget, "isqrt", counting_isqrt)
+    return calls
+
+
+# isqrts per class: one in B and for g0, two in AA and for g-switch
+ISQRT_COST = {"zero": 0, "b": 1, "g0": 1, "ab-hat": 2, "b2-hat": 2, "g-switch": 2}
+
+
+def _assert_xi_inverse_accepts_a_number_heap(h, cls):
+    """xi_inverse accepts h exactly when h's class is a number heap's."""
+    number = h in (0, 1) or cls.kind in ("b2-hat", "g0")
+    try:
+        nugget.xi_inverse(h)
+    except ValueError:
+        assert not number, h
+    else:
+        assert number, h
+
+
+def _assert_classified(h, isqrt_calls):
+    """One classify of h: it takes its class's isqrts (none for heap 1), its
+    class is the search's, and xi_inverse accepts h exactly when it is a
+    number heap."""
+    isqrt_calls.clear()
+    cls = nugget.classify(h)
+    assert len(isqrt_calls) == (0 if h == 1 else ISQRT_COST[cls.kind]), (h, cls)
+    assert cls == _classify_by_search(h), h
+    _assert_xi_inverse_accepts_a_number_heap(h, cls)
+    return cls
+
+
+def test_classify_matches_the_search_up_to_2e5(isqrt_calls):
     for h in range(2 * 10**5 + 1):
-        assert nugget.classify(h) == _classify_by_search(h), h
+        _assert_classified(h, isqrt_calls)
 
 
-def test_classify_matches_the_search_near_fibonacci_numbers():
+def test_classify_matches_the_search_near_fibonacci_numbers(isqrt_calls):
+    # _classify_by_search, which inverts each row letter by letter, makes hundreds of isqrts on g_heap(3, 700)
     for k in range(1500):
         for d in range(-2, 3):
             if fw.fib(k) + d >= 0:
-                assert nugget.classify(fw.fib(k) + d) == _classify_by_search(fw.fib(k) + d), (k, d)
+                _assert_classified(fw.fib(k) + d, isqrt_calls)
+    assert str(_assert_classified(nugget.g_heap(3, 700), isqrt_calls)) == "g-switch(n=700,i=3)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**60), st.integers(1, 200), st.integers(-1, 1))
+def test_classify_far_beyond_the_forward_enumeration(m, n, d):
+    # the m-th heap of four classes, and heaps d from those of Q and G(n);
+    # xi_inverse accepts exactly the number heaps among them
+    known = {nugget.g_heap(m, n): f"g-switch(n={n},i={m})", fw.b_seq(m): "b",
+             fw.compose_ab("AB", m) + 1: "ab-hat", fw.compose_ab("BB", m) + 1: "b2-hat"}
+    for h in {*known, fw.compose_ab("BB", m) + 1 + d, nugget.g_heap(m, n) + d, fw.fib(2 * n + 3) - 2 + d}:
+        cls = nugget.classify(h)
+        assert str(cls) == known.get(h, str(cls)), h
+        _assert_xi_inverse_accepts_a_number_heap(h, cls)
 
 
 @settings(max_examples=300, deadline=None)
@@ -263,57 +320,6 @@ def test_row_lemma_every_earlier_rest_is_in_a():
 @given(st.integers(0, 10**60), st.integers(2, 200))
 def test_row_lemma_far_out(i, n):
     _assert_row_lemma(i, n, {m for m in (1, n - 2, n - 1) if m >= 1})
-
-
-def test_classify_isqrt_cost_is_one_in_b_and_g0_and_two_in_aa_and_g_switch(monkeypatch):
-    # _classify_by_search, which inverts each row letter by letter, makes hundreds on g_heap(3, 700)
-    cost = {"zero": 0, "b": 1, "g0": 1, "ab-hat": 2, "b2-hat": 2, "g-switch": 2}
-    calls = []
-
-    def counting_isqrt(x):
-        calls.append(x)
-        return isqrt(x)
-
-    monkeypatch.setattr(fw, "isqrt", counting_isqrt)
-    monkeypatch.setattr(nugget, "isqrt", counting_isqrt)
-    near_fibonacci = [fw.fib(k) + d for k in range(1500) for d in range(-2, 3) if fw.fib(k) + d >= 0]
-    for h in [*range(10**4 + 1), *near_fibonacci, nugget.g_heap(3, 700)]:
-        calls.clear()
-        kind = nugget.classify(h).kind
-        assert len(calls) == (0 if h == 1 else cost[kind]), (h, kind)
-    assert str(nugget.classify(nugget.g_heap(3, 700))) == "g-switch(n=700,i=3)"
-
-
-def _number_heap_by_class(h):
-    return h in (0, 1) or nugget.classify(h).kind in ("b2-hat", "g0")
-
-
-def _xi_inverse_accepts(h):
-    try:
-        nugget.xi_inverse(h)
-    except ValueError:
-        return False
-    return True
-
-
-def test_xi_inverse_accepts_exactly_the_number_heaps_up_to_2e5():
-    for h in range(2 * 10**5 + 1):
-        assert _xi_inverse_accepts(h) == _number_heap_by_class(h), h
-
-
-def test_xi_inverse_accepts_exactly_the_number_heaps_near_fibonacci_numbers():
-    for k in range(1500):
-        for d in range(-2, 3):
-            h = fw.fib(k) + d
-            if h >= 0:
-                assert _xi_inverse_accepts(h) == _number_heap_by_class(h), h
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10**60), st.integers(1, 200), st.integers(-1, 1))
-def test_xi_inverse_accepts_exactly_the_number_heaps_far_out(m, n, d):
-    for h in (fw.compose_ab("BB", m) + 1 + d, nugget.g_heap(m, n) + d, fw.fib(2 * n + 3) - 2 + d):
-        assert _xi_inverse_accepts(h) == _number_heap_by_class(h), h
 
 
 def test_deep_oracle_classifier_agreement():

@@ -115,7 +115,7 @@ def test_zero_stops_leave_the_position_to_the_oracle(u):
     p = pos.Position.parse("17b+17r")
     assert nugget.sum_stops([(1, nugget.heap_rcf(17)), (-1, nugget.heap_rcf(17))]) == (Dyadic(0), Dyadic(0))
     assert pos.position_outcome(u, p) == Outcome.P
-    assert list(u.cache("oracle")) == ["golden"]
+    assert list(u.cache("oracle")) == [nugget.GOLDEN]
 
 
 def test_stops_route_refuses_the_first_heap_over_the_bound(u):
@@ -187,7 +187,7 @@ def test_golden_heaps_share_one_memo(u):
     assert nugget.heap_canonical(u, 12) == value
     assert nugget.heap_canonical(u, 9) == pos.position_value(u, pos.Position.parse("9b"))
     assert len(u) == size  # nothing was built twice
-    assert list(u.cache("oracle")) == ["golden"]
+    assert list(u.cache("oracle")) == [nugget.GOLDEN]
 
 
 def test_periodicity_probe():

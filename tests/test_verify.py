@@ -1,6 +1,6 @@
 import pytest
 
-from goldennugget.verify import SUITES, Recorder, suite_parameters
+from goldennugget.verify import SUITES, suite_parameters, sweep
 
 
 def test_sweep_stops_at_the_first_failure_and_passes_an_empty_sweep():
@@ -9,19 +9,10 @@ def test_sweep_stops_at_the_first_failure_and_passes_an_empty_sweep():
         yield False, "second"
         raise AssertionError("resumed after its first failure")
 
-    rec = Recorder()
-    rec.sweep("stops", failing())
-    rec.sweep("empty", iter(()))
-    stopped, empty = rec.checks
+    stopped, empty = sweep("stops", failing()), sweep("empty", iter(()))
     assert (stopped.ok, stopped.detail) == (False, "second")
     assert (empty.ok, empty.detail) == (True, "")
     assert stopped.elapsed >= 0 and empty.elapsed >= 0
-
-
-def test_recorders_do_not_share_their_checks():
-    first, second = Recorder(), Recorder()
-    first.add("only in the first", True)
-    assert len(first.checks) == 1 and second.checks == []
 
 
 def test_suite_parameters_are_read_off_each_suite():
