@@ -1,3 +1,4 @@
+import functools
 import random
 from math import isqrt
 
@@ -213,22 +214,38 @@ def _classify_by_search(h):
     raise AssertionError(h)
 
 
-@pytest.fixture
-def isqrt_calls(monkeypatch):
-    """The arguments of every isqrt the package takes from here on."""
+# isqrts per class: one in B and for g0, two in AA and for g-switch
+ISQRT_COST = {"zero": 0, "b": 1, "g0": 1, "ab-hat": 2, "b2-hat": 2, "g-switch": 2}
+
+HEAP_SETS = {
+    "up to 2e5": lambda: range(2 * 10**5 + 1),
+    "near Fibonacci numbers": lambda: [fw.fib(k) + d for k in range(1500) for d in range(-2, 3) if fw.fib(k) + d >= 0],
+}
+
+
+def _classified_once(heaps):
+    """(h, classify(h), the number of isqrts that classify took) for each h,
+    with classify called once per heap."""
     calls = []
 
     def counting_isqrt(x):
         calls.append(x)
         return isqrt(x)
 
-    monkeypatch.setattr(fw, "isqrt", counting_isqrt)
-    monkeypatch.setattr(nugget, "isqrt", counting_isqrt)
-    return calls
+    walk = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fw, "isqrt", counting_isqrt)
+        mp.setattr(nugget, "isqrt", counting_isqrt)
+        for h in heaps:
+            calls.clear()
+            walk.append((h, nugget.classify(h), len(calls)))
+    return walk
 
 
-# isqrts per class: one in B and for g0, two in AA and for g-switch
-ISQRT_COST = {"zero": 0, "b": 1, "g0": 1, "ab-hat": 2, "b2-hat": 2, "g-switch": 2}
+@functools.cache
+def _walk(name):
+    """One classify pass over the heap set `name`, shared by every test of that set."""
+    return _classified_once(HEAP_SETS[name]())
 
 
 def _assert_xi_inverse_accepts_a_number_heap(h, cls):
@@ -242,43 +259,50 @@ def _assert_xi_inverse_accepts_a_number_heap(h, cls):
         assert number, h
 
 
-def _assert_classified(h, isqrt_calls):
-    """One classify of h: it takes its class's isqrts (none for heap 1), its
-    class is the search's, and xi_inverse accepts h exactly when it is a
-    number heap."""
-    isqrt_calls.clear()
-    cls = nugget.classify(h)
-    assert len(isqrt_calls) == (0 if h == 1 else ISQRT_COST[cls.kind]), (h, cls)
-    assert cls == _classify_by_search(h), h
-    _assert_xi_inverse_accepts_a_number_heap(h, cls)
-    return cls
+def test_classify_matches_the_search_up_to_2e5():
+    for h, cls, _ in _walk("up to 2e5"):
+        assert cls == _classify_by_search(h), h
 
 
-def test_classify_matches_the_search_up_to_2e5(isqrt_calls):
-    for h in range(2 * 10**5 + 1):
-        _assert_classified(h, isqrt_calls)
+def test_classify_matches_the_search_near_fibonacci_numbers():
+    for h, cls, _ in _walk("near Fibonacci numbers"):
+        assert cls == _classify_by_search(h), h
 
 
-def test_classify_matches_the_search_near_fibonacci_numbers(isqrt_calls):
-    # _classify_by_search, which inverts each row letter by letter, makes hundreds of isqrts on g_heap(3, 700)
-    for k in range(1500):
-        for d in range(-2, 3):
-            if fw.fib(k) + d >= 0:
-                _assert_classified(fw.fib(k) + d, isqrt_calls)
-    assert str(_assert_classified(nugget.g_heap(3, 700), isqrt_calls)) == "g-switch(n=700,i=3)"
+def test_classify_isqrt_cost_is_one_in_b_and_g0_and_two_in_aa_and_g_switch():
+    # _classify_by_search, which inverts each row letter by letter, makes hundreds on g_heap(3, 700)
+    far = _classified_once([nugget.g_heap(3, 700)])
+    for h, cls, count in [*_walk("up to 2e5"), *_walk("near Fibonacci numbers"), *far]:
+        assert count == (0 if h == 1 else ISQRT_COST[cls.kind]), (h, cls)
+    assert str(far[0][1]) == "g-switch(n=700,i=3)"
+
+
+def test_xi_inverse_accepts_exactly_the_number_heaps_up_to_2e5():
+    for h, cls, _ in _walk("up to 2e5"):
+        _assert_xi_inverse_accepts_a_number_heap(h, cls)
+
+
+def test_xi_inverse_accepts_exactly_the_number_heaps_near_fibonacci_numbers():
+    for h, cls, _ in _walk("near Fibonacci numbers"):
+        _assert_xi_inverse_accepts_a_number_heap(h, cls)
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**60), st.integers(1, 200))
+def test_classify_far_beyond_the_forward_enumeration(m, n):
+    assert str(nugget.classify(nugget.g_heap(m, n))) == f"g-switch(n={n},i={m})"
+    assert nugget.classify(fw.b_seq(m)).kind == "b"
+    assert nugget.classify(fw.compose_ab("AB", m) + 1).kind == "ab-hat"
+    assert nugget.classify(fw.compose_ab("BB", m) + 1).kind == "b2-hat"
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**60), st.integers(1, 200), st.integers(-1, 1))
-def test_classify_far_beyond_the_forward_enumeration(m, n, d):
-    # the m-th heap of four classes, and heaps d from those of Q and G(n);
-    # xi_inverse accepts exactly the number heaps among them
-    known = {nugget.g_heap(m, n): f"g-switch(n={n},i={m})", fw.b_seq(m): "b",
-             fw.compose_ab("AB", m) + 1: "ab-hat", fw.compose_ab("BB", m) + 1: "b2-hat"}
-    for h in {*known, fw.compose_ab("BB", m) + 1 + d, nugget.g_heap(m, n) + d, fw.fib(2 * n + 3) - 2 + d}:
-        cls = nugget.classify(h)
-        assert str(cls) == known.get(h, str(cls)), h
-        _assert_xi_inverse_accepts_a_number_heap(h, cls)
+def test_xi_inverse_accepts_exactly_the_number_heaps_far_out(m, n, d):
+    # the m-th heap of B and of AB + 1, and heaps d from those of Q and G(n)
+    for h in {fw.b_seq(m), fw.compose_ab("AB", m) + 1, fw.compose_ab("BB", m) + 1 + d,
+              nugget.g_heap(m, n) + d, fw.fib(2 * n + 3) - 2 + d}:
+        _assert_xi_inverse_accepts_a_number_heap(h, nugget.classify(h))
 
 
 @settings(max_examples=300, deadline=None)
