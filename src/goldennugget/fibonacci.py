@@ -79,9 +79,6 @@ class FibRepr(namedtuple("FibRepr", "kind terms")):
     def least_index(self) -> int:
         return self.terms[-1][0]
 
-    def counts(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def validate(self) -> None:
         """Check the normal form (indices strictly descending, each used at
         least once) and the invariants of this representation's kind."""
@@ -167,7 +164,7 @@ def _zeckendorf_indices(x: int) -> list[int]:
 
 def zeckendorf(x: int) -> FibRepr:
     """Greedy Zeckendorf representation of a positive integer."""
-    return FibRepr.from_counts(ZECKENDORF, dict.fromkeys(_zeckendorf_indices(x), 1))
+    return FibRepr(ZECKENDORF, tuple((i, 1) for i in _zeckendorf_indices(x)))
 
 
 def z1(x: int) -> int:
@@ -180,14 +177,11 @@ def least_odd(x: int) -> FibRepr:
 
     A least term F(2k) unfolds into F(2k-1) + F(2k-3) + ... + F(1).
     """
-    zk = zeckendorf(x)
-    counts = zk.counts()
-    least = zk.least_index()
+    indices = _zeckendorf_indices(x)
+    least = indices[-1]
     if least % 2 == 0:
-        del counts[least]
-        for j in range(1, least, 2):
-            counts[j] = 1
-    return FibRepr.from_counts(LEAST_ODD, counts)
+        indices[-1:] = range(least - 1, 0, -2)
+    return FibRepr(LEAST_ODD, tuple((i, 1) for i in indices))
 
 
 def even_repr(x: int) -> FibRepr:

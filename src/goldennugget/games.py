@@ -54,7 +54,6 @@ class Universe:
         self._stops: dict[GameId, tuple[Dyadic, Dyadic]] = {}
         self._numbers: dict[Dyadic, GameId] = {}
         self._caches: dict[str, dict] = {}
-        self._orders: dict[str, tuple[dict, tuple[dict, dict]]] = {}
         self._canon: dict[GameId, GameId] = self.cache("canonical")
         self.zero: GameId = self.from_number(ZERO)
 
@@ -176,9 +175,9 @@ class Universe:
 
         ``ls`` and ``rs`` are sets of forms of the order: canonical forms
         under ``geq`` = ``>=``, reduced canonical forms under ``>=_Inf``.
-        ``order`` names the order's tables in :meth:`cache`, fetched once per
-        universe: the table ``order``, where each fixed point maps to itself,
-        and the Left and Right "beaten by" tables of :meth:`_undominated`.
+        ``order`` names the order's tables in :meth:`cache`: the table
+        ``order``, where each fixed point maps to itself, and the Left and
+        Right "beaten by" tables of :meth:`_undominated`.
         Dominated options are removed and every reversible option is bypassed.
 
         Trimming first is exact: the trimmed game equals the untrimmed one
@@ -216,12 +215,9 @@ class Universe:
         each game made here equals that game under ``>=_Inf`` and so has its
         stops (an infinitesimal moves neither), and a number's stops are equal.
         """
-        tables = self._orders.get(order)
-        if tables is None:
-            tables = self._orders[order] = (
-                self.cache(order), (self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right")))
-        done, beaten = tables
+        beaten = (self.cache(order + ":beaten-left"), self.cache(order + ":beaten-right"))
         game = self._trim(ls, rs, geq, beaten)
+        done = self.cache(order)
         result = done.get(game)
         if result is not None:
             return result

@@ -312,12 +312,9 @@ def periodicity_probe(spec: CSGameSpec, max_h: int) -> PeriodReport:
     for d in range(1, limit + 1):
         if text[limit: len(text) - d] != text[limit + d:]:
             continue
-        mismatch = -1
-        for i in range(limit - 1, -1, -1):
-            if text[i] != text[i + d]:
-                mismatch = i
-                break
-        preperiod = mismatch + 1
+        preperiod = limit
+        while preperiod and text[preperiod - 1] == text[preperiod - 1 + d]:
+            preperiod -= 1
         if max_h - d - preperiod + 1 >= 3 * d:
             return PeriodReport(preperiod=preperiod, period=d)
     return PeriodReport(preperiod=None, period=None)

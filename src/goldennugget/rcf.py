@@ -50,5 +50,4 @@ def reduced_canonical_form(u: Universe, g: GameId) -> GameId:
         rs = {reduced_canonical_form(u, x) for x in right}
         result = u.reduce(ls, rs, "rcf", partial(geq_inf, u))
     cache[c] = result
-    cache[result] = result
     return result

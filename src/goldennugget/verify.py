@@ -388,8 +388,9 @@ def suite_fibonacci(seed: int = 0):
 
     def even_vs_z1():
         for x in range(1, 10**5 + 1):
-            odd = fw.z1(x) % 2 == 1
-            yield odd == _tail_is_special(fw.even_repr(x).counts()), f"x={x}"
+            # the ternary digits of F2, F4, ..., read from F2 up: a run of 1s, then a 2
+            special = fw.even_repr(x).to_ternary()[-2::-2].lstrip("1").startswith("2")
+            yield (fw.z1(x) % 2 == 1) == special, f"x={x}"
 
     yield sweep("z1 odd iff the even tail is F2+...+F(2i)+2F(2i+2), x <= 10^5", even_vs_z1())
 
@@ -419,19 +420,6 @@ def suite_fibonacci(seed: int = 0):
             yield fw.ze_transform(fw.zeckendorf(x)).terms == fw.even_repr(x).terms, f"x={x}"
 
     yield sweep("rewrite path equals greedy even representation, x <= 2*10^4", zeck_even_agree())
-
-
-def _tail_is_special(counts: dict[int, int]) -> bool:
-    # smallest terms F2 + F4 + ... + F(2i) + 2*F(2i+2) for some i >= 0
-    idx = sorted(counts)
-    for position, j in enumerate(idx):
-        if j != 2 * (position + 1):
-            return False
-        if counts[j] == 2:
-            return all(counts[k] == 1 for k in idx[:position])
-        if counts[j] != 1:
-            return False
-    return False
 
 
 def _not1_first():

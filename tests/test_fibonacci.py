@@ -56,18 +56,18 @@ def test_even_repr_is_valid_and_exact(x):
 
 
 def test_even_repr_examples():
-    assert fw.even_repr(117).counts() == {10: 2, 4: 2, 2: 1}
+    assert dict(fw.even_repr(117).terms) == {10: 2, 4: 2, 2: 1}
     assert fw.even_repr(102).to_ternary() == "1020001020"
 
 
 @pytest.mark.parametrize("k", [3, 4, 30, 700])
 def test_even_repr_of_doubled_and_sparse_inputs(k):
     top = fw.fib(2 * k)
-    assert fw.even_repr(2 * top).counts() == {2 * k: 2}
-    assert fw.even_repr(2 * top + fw.fib(2 * k - 4)).counts() == {2 * k: 2, 2 * k - 4: 1}
+    assert dict(fw.even_repr(2 * top).terms) == {2 * k: 2}
+    assert dict(fw.even_repr(2 * top + fw.fib(2 * k - 4)).terms) == {2 * k: 2, 2 * k - 4: 1}
     for x in (2 * top, 2 * top + fw.fib(2 * k - 4), top - 1, fw.fib(2 * k + 2) - 2):
         r = fw.even_repr(x)
-        assert r == fw.FibRepr.from_counts(fw.EVEN, r.counts()), x
+        assert r == fw.FibRepr.from_counts(fw.EVEN, dict(r.terms)), x
         r.validate()
         assert r.value() == x
         if k <= 30:
@@ -80,8 +80,8 @@ def test_ze_transform_agrees_with_greedy(x):
 
 
 def test_ze_transform_steps():
-    assert fw.ze_transform(fw.zeckendorf(2)).counts() == {2: 2}
-    assert fw.ze_transform(fw.zeckendorf(8)).counts() == {6: 1}
+    assert dict(fw.ze_transform(fw.zeckendorf(2)).terms) == {2: 2}
+    assert dict(fw.ze_transform(fw.zeckendorf(8)).terms) == {6: 1}
 
 
 def _mex_tables(limit):

@@ -193,6 +193,17 @@ def test_golden_heaps_share_one_memo(u):
 def test_periodicity_probe():
     report = pos.periodicity_probe(pos.parse_spec("mod:3:L=1,2"), 600)
     assert report.found()  # whatever it finds is evidence, but it must find it
+    # exact reports, the preperiod's scan start included: at mod:3:L= and max 4
+    # a scan from limit - 1 would report preperiod 0
+    for spec, max_h, report in [
+        ("oddeven", 200, (1, 2)),
+        ("mod:5:L=1,4", 200, (4, 5)),
+        ("mod:6:L=1,5", 200, (2, 6)),
+        ("mod:3:L=", 3, (None, None)),
+        ("mod:3:L=", 4, (1, 1)),
+        ("beatty:sqrt2", 600, (None, None)),
+    ]:
+        assert tuple(pos.periodicity_probe(pos.parse_spec(spec), max_h)) == report, (spec, max_h)
 
 
 def test_color_swap(u):
