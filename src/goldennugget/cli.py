@@ -3,7 +3,10 @@
 Subcommands: single-heap queries (value, rcf, classify, number, xi, repr),
 table reproduction, position solving, outcome/periodicity experiments, and
 the named verification suites.  Exit codes: 0 ok, 1 verification failure,
-2 usage or bad input, 3 resource limit.
+2 usage or bad input, 3 resource limit.  CPython's int-string limit
+(``sys.get_int_max_str_digits()``, 4,300 digits by default) is one: an int
+argument of more digits, or an answer (of ``rcf``, ``number`` or ``xi``)
+that would print one, exits 3 with a line naming the limit.
 """
 
 from __future__ import annotations
@@ -27,10 +30,40 @@ from .games import ResourceLimitError, Universe, game_text
 from .rcf import reduced_canonical_form
 
 
+_INT = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
+
+
+def _digit_limit() -> int:
+    """CPython's int-string limit; 0, no limit, where the Python has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _int(text: str) -> int:
+    """An int argument; one of more digits than the limit is refused as a
+    resource limit, not as bad input."""
+    match, limit = _INT.fullmatch(text), _digit_limit()
+    digits = len(match[1].replace("_", "")) if match else 0
+    if limit and digits > limit:
+        raise ResourceLimitError(f"integer argument of {digits} digits exceeds the int-string limit of {limit} digits")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's "invalid int value" names the type by it
+
+
+def _printed(answer):
+    """``answer()``, a (payload, text) pair of an exact value: an int in it of
+    more digits than the limit, which str() refuses, is a resource limit."""
+    try:
+        return answer()
+    except ValueError:
+        raise ResourceLimitError(f"the answer needs more digits than the int-string limit of {_digit_limit()} digits") from None
+
+
 def _nonnegative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"nonnegative integer required, got {text!r}")
-    return int(text)
+    return _int(text)
 
 
 class Table(namedtuple("Table", "header rows key")):
@@ -45,6 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goldennugget",
         description="Exact values and number theory for complementary subtraction games.",
+        epilog="exit codes: 0 ok, 1 verification failure, 2 usage or bad input, 3 resource limit: "
+               "a heap over the oracle bound, or an int of more digits than CPython's int-string "
+               "limit (sys.get_int_max_str_digits(), 4300 by default) in an argument or an answer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -60,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--oracle-bound", type=_nonnegative_int, default=nugget.ORACLE_BOUND, metavar="N")
         return p
 
-    command("value", cmd_value, "oracle canonical form of a heap", oracle=True).add_argument("heap", type=int)
-    command("rcf", cmd_rcf, "reduced canonical form of a heap").add_argument("heap", type=int)
-    command("classify", cmd_classify, "partition class of a heap").add_argument("heap", type=int)
-    command("number", cmd_number, "heap value via the bit map, with binary expansion").add_argument("heap", type=int)
+    command("value", cmd_value, "oracle canonical form of a heap", oracle=True).add_argument("heap", type=_int)
+    command("rcf", cmd_rcf, "reduced canonical form of a heap").add_argument("heap", type=_int)
+    command("classify", cmd_classify, "partition class of a heap").add_argument("heap", type=_int)
+    command("number", cmd_number, "heap value via the bit map, with binary expansion").add_argument("heap", type=_int)
     command("xi", cmd_xi, "heap whose value is a binary fraction: 0, 1, s(n) or in (2/3, 1)").add_argument("fraction")
 
     p = command("repr", cmd_repr, "Fibonacci representation of an integer")
-    p.add_argument("x", type=int)
+    p.add_argument("x", type=_int)
     p.add_argument("--kind", choices=("zeck", "lo", "even"), default="zeck")
 
     p = command("table", cmd_table, "reproduce the reference tables", ("text", "json", "csv"), oracle=True)
@@ -95,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(verify_mod.SUITES)) + ", all")
     p.add_argument("--bound", type=_nonnegative_int, default=None)
-    p.add_argument("--seed", type=int, metavar="N")
+    p.add_argument("--seed", type=_int, metavar="N")
 
     return parser
 
@@ -112,7 +148,7 @@ def cmd_value(args):
 
 def cmd_rcf(args):
     value = nugget.heap_rcf(args.heap)
-    return {"h": args.heap, "kind": value.kind, "game": value.to_json_obj()}, str(value)
+    return _printed(lambda: ({"h": args.heap, "kind": value.kind, "game": value.to_json_obj()}, str(value)))
 
 
 def cmd_classify(args):
@@ -123,14 +159,14 @@ def cmd_classify(args):
 
 def cmd_number(args):
     value = nugget.xi_inverse(args.heap)
-    return ({"h": args.heap, "value": str(value), "binary": value.binary()},
-            f"{value} = {value.binary()}")
+    return _printed(lambda: ({"h": args.heap, "value": str(value), "binary": value.binary()},
+                             f"{value} = {value.binary()}"))
 
 
 def cmd_xi(args):
     d = Dyadic.from_binary(args.fraction)
     h = nugget.xi(d)
-    return {"fraction": str(d), "heap": h}, str(h)
+    return _printed(lambda: ({"fraction": str(d), "heap": h}, str(h)))
 
 
 _REPRS = {"zeck": fw.zeckendorf, "lo": fw.least_odd, "even": fw.even_repr}
@@ -255,8 +291,8 @@ def _render(result, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # an int argument's resource limit escapes argparse
         result = args.handler(args)
         text = _render(result, args.format)
     except ResourceLimitError as exc:

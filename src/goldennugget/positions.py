@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import fibonacci as fw
 from . import nugget
 from .games import GameId, Outcome, Universe
 from .nugget import GOLDEN, CSGameSpec, GoldenSpec  # noqa: F401  (perfbench builds positions.GoldenSpec())
@@ -153,24 +154,39 @@ def _second_player_test(u: Universe, p: Position, spec: CSGameSpec, bound: int):
     """The one test every answer of a solve comes from: ``wins(player, index,
     size)``, whether ``player`` wins moving second once heap ``index`` of p
     holds ``size`` tokens.  For golden every heap is checked against the
-    bound first, in input order.
+    bound first, in input order.  The test is built once per (p, spec,
+    bound), in ``u``'s "second-player" table and only once the bound checks
+    pass, so a solve's outcome and its moves share the stops and -R_i below.
 
     With v heap ``index``'s signed value and R_i the value of the other
     heaps, the game is G = v + R_i; Left wins it moving second iff G >= 0,
     and Right iff G <= 0.
 
-    For golden the sign of one stop of G decides first.  Each heap is
-    Inf-equivalent to its reduced canonical form, sums keep Inf-equivalence,
-    and Inf-equivalent games have the same stops (Grossman and Siegel,
-    "Reductions of partizan games"), so G's stops are those of the sum of the
-    heaps' ``heap_rcf`` forms, which ``nugget.sum_stops`` gives with no game
-    built, once per index and size.  Stops are monotone and a number is its own stop (Siegel,
-    *Combinatorial Game Theory*, ch. II), so G >= 0 gives R(G) >= 0: a right
-    stop < 0 means not G >= 0.  And a right stop > 0 gives G >= 0: if G is a
-    number, G = R(G); otherwise each Right option has a left stop >= R(G) > 0,
-    so none is <= 0.  So Left's answer is the sign of R(G), and by the mirror
-    image Right's is the sign of -L(G).  Only a stop of 0, a tie, is left
-    undecided.
+    For golden, when every other heap is empty, the single-heap theorem
+    decides first, and no form or stop is read: on a lone heap of size h > 0
+    its owner (Left for a blue heap, Right for a red one) wins moving first,
+    and the other player wins moving first iff h is in B.  So ``player``
+    wins moving second iff h = 0, or ``player`` owns the heap and h is in A.
+    Proof for a blue heap, by induction on h (a red one is its mirror
+    image).  Right can empty a heap only if it is in B, and a heap in A
+    never is.  Left empties a heap in A.  From h = B(n) Left removes 1,
+    which is in A, and leaves A(A(n)) = B(n) - 1 (see ``nugget.classify``),
+    a heap in A, on which Right, moving first, loses.  So Left wins moving
+    first on every h > 0, and then Right, moving first, wins only by
+    emptying the heap: exactly when h is in B.
+
+    Otherwise, for golden, the sign of one stop of G decides next.  Each
+    heap is Inf-equivalent to its reduced canonical form, sums keep
+    Inf-equivalence, and Inf-equivalent games have the same stops (Grossman
+    and Siegel, "Reductions of partizan games"), so G's stops are those of
+    the sum of the heaps' ``heap_rcf`` forms, which ``nugget.sum_stops``
+    gives with no game built, once per index and size.  Stops are monotone
+    and a number is its own stop (Siegel, *Combinatorial Game Theory*,
+    ch. II), so G >= 0 gives R(G) >= 0: a right stop < 0 means not G >= 0.
+    And a right stop > 0 gives G >= 0: if G is a number, G = R(G); otherwise
+    each Right option has a left stop >= R(G) > 0, so none is <= 0.  So
+    Left's answer is the sign of R(G), and by the mirror image Right's is
+    the sign of -L(G).  Only a stop of 0, a tie, is left undecided.
 
     Then, and for every other spec, G >= 0 iff v >= -R_i, so v is compared
     with -R_i, built once per index, and the sum itself is never built.  The
@@ -179,16 +195,22 @@ def _second_player_test(u: Universe, p: Position, spec: CSGameSpec, bound: int):
     workload (ROADMAP item 1), and a version making one ``geq`` per tie gave
     the same answers but failed the traced self-check.
     """
+    tests, key = u.cache("second-player"), (p, spec, bound)
+    if key in tests:
+        return tests[key]
     terms = None
     if spec == GOLDEN:
         for _, size in p.heaps:
             nugget.check_bound(size, bound)
         terms = [(-1 if color == RED else 1, nugget.heap_rcf(size)) for color, size in p.heaps]
+        filled = {index for index, (_, size) in enumerate(p.heaps) if size}
     stops: dict[tuple[int, int], tuple] = {}
     minus_rests: dict[int, GameId] = {}
 
     def wins(player: str, index: int, size: int) -> bool:
         if terms is not None:
+            if filled <= {index}:
+                return size == 0 or ((player == "L") == (p.heaps[index][0] == BLUE) and fw.in_a(size))
             if (index, size) not in stops:
                 stops[index, size] = nugget.sum_stops(terms[:index] + [(terms[index][0], nugget.heap_rcf(size))]
                                                       + terms[index + 1:])
@@ -202,6 +224,7 @@ def _second_player_test(u: Universe, p: Position, spec: CSGameSpec, bound: int):
             minus_rests[index] = u.negate(position_value(u, rest, spec, bound))
         return u.outcome(v, minus_rests[index]) in (Outcome.P, Outcome.L if player == "L" else Outcome.R)
 
+    tests[key] = wins
     return wins
 
 
@@ -255,9 +278,9 @@ def winning_move(
     G^L has G^L >= 0 (the definition of <=, with 0 = { | }; Conway, *On
     Numbers and Games*; Siegel, *Combinatorial Game Theory*, ch. II).  So
     Left has a winning move iff not G <= 0, that is, unless Right wins
-    moving second, and Right, by symmetry, unless Left does: the test of
-    :func:`position_outcome`, whose comparisons ``geq`` has memoized when
-    it ran first.
+    moving second, and Right, by symmetry, unless Left does: the question
+    :func:`position_outcome` asked of the same test, whose stops and
+    comparisons are memoized when it ran first.
     """
     _check_mover(mover)
     wins = _second_player_test(u, p, spec, bound)

@@ -63,6 +63,43 @@ def test_a_long_refused_heap_is_named_by_its_last_digits(capsys):
     assert len(line) == 71
 
 
+@pytest.fixture
+def digit_limit():
+    """CPython's int-string limit at its default, 4,300 digits, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_an_int_argument_past_the_digit_limit_is_a_resource_limit(capsys, digit_limit):
+    heap = "1" + "0" * 4300
+    for argv in (["classify", heap], ["repr", heap], ["value", "-" + heap], ["verify", "--suite", "rcf", "--bound", heap]):
+        assert run(argv) == ("", 3), argv[0]
+        assert capsys.readouterr().err == (
+            "resource limit: integer argument of 4301 digits exceeds the int-string limit of 4300 digits\n")
+    assert run(["classify", heap[:-1]]) == ("b2-hat\n", 0)
+    assert run(["classify", "1x" + heap])[1] == 2  # not an int, whatever its length
+    sys.set_int_max_str_digits(0)  # no limit: the argument is read
+    assert run(["classify", heap])[1] == 0
+    out, code = run(["--help"])
+    help_text = " ".join(out.split())  # as argparse wraps it
+    assert code == 0 and "3 resource limit" in help_text and "int-string limit" in help_text
+
+
+def test_an_answer_past_the_digit_limit_is_a_resource_limit(capsys, digit_limit):
+    # s(7200) needs more than 4,300 digits; the 3,011-digit heap does not
+    h = nugget.g_heap(3, 7200)
+    for argv in (["rcf", str(h)], ["rcf", str(h), "--format", "json"],
+                 ["number", str(fw.fib(2 * 7200 + 3) - 2)], ["xi", "0.11" + "0" * 20000 + "1", "--format", "json"]):
+        assert run(argv) == ("", 3), argv
+        assert capsys.readouterr().err == (
+            "resource limit: the answer needs more digits than the int-string limit of 4300 digits\n")
+    assert run(["classify", str(h)]) == ("g-switch(n=7200,i=3)\n", 0)
+
+
 def test_rcf_json_matches_the_game_route():
     heaps = list(range(301))
     for n in [*range(1, 400, 9), 400]:

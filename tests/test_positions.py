@@ -102,6 +102,47 @@ def test_stops_route_matches_the_oracle_route():
             assert pos.winning_move(u, p, mover) == pos.winning_move(u, p, mover, oracle), (p, mover)
 
 
+def test_single_heap_theorem_matches_the_oracle_route():
+    # every lone heap to 60, alone or beside an empty heap on either side:
+    # the outcome and both movers' moves, against the oracle route
+    oracle = nugget.CSGameSpec("golden-oracle", fw.in_a)
+    u = Universe()
+    for h in range(61):
+        for color in (pos.BLUE, pos.RED):
+            for text in (f"{h}{color}", f"{h}{color}+0b", f"0r+{h}{color}"):
+                p = pos.Position.parse(text)
+                assert pos.position_outcome(u, p) == pos.position_outcome(u, p, oracle), p
+                for mover in ("L", "R"):
+                    assert pos.winning_move(u, p, mover) == pos.winning_move(u, p, mover, oracle), (p, mover)
+
+
+def test_single_heap_theorem_builds_no_game(u):
+    p = pos.Position.parse("60b")
+    size = len(u)
+    assert pos.position_outcome(u, p) == Outcome.N
+    assert pos.winning_move(u, p, "L") == pos.Move(0, 1)
+    assert pos.winning_move(u, p, "R") == pos.Move(0, 60)
+    assert len(u) == size and u.cache("oracle") == {}
+
+
+def test_second_player_test_is_kept_per_position_spec_and_bound():
+    p = pos.Position.parse("20b")
+    for bounds in ((60, 10), (10, 60)):
+        u = Universe()
+        for bound in bounds:
+            if bound < 20:
+                with pytest.raises(ResourceLimitError, match="^heap 20 exceeds the oracle bound 10$"):
+                    pos.position_outcome(u, p, bound=bound)
+            else:
+                assert pos.position_outcome(u, p, bound=bound) == Outcome.N
+    # the oracle route under another name gets a test of its own
+    oracle = nugget.CSGameSpec("golden-oracle", fw.in_a)
+    u = Universe()
+    assert pos.winning_move(u, p, "L") == pos.winning_move(u, p, "L", oracle) == pos.Move(0, 1)
+    assert list(u.cache("oracle")) == [oracle]
+    assert pos._second_player_test(u, p, nugget.GOLDEN, 60) is pos._second_player_test(u, p, nugget.GOLDEN, 60)
+
+
 def test_stops_decide_a_position_with_no_game_built(u):
     p = pos.Position.parse("44b+7r+30r")
     size = len(u)
