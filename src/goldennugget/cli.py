@@ -5,8 +5,9 @@ table reproduction, position solving, outcome/periodicity experiments, and
 the named verification suites.  Exit codes: 0 ok, 1 verification failure,
 2 usage or bad input, 3 resource limit.  CPython's int-string limit
 (``sys.get_int_max_str_digits()``, 4,300 digits by default) is one: an int
-argument of more digits, or an answer (of ``rcf``, ``number`` or ``xi``)
-that would print one, exits 3 with a line naming the limit.
+argument or a ``solve`` heap of more digits, or an answer (of ``rcf``,
+``number`` or ``xi``) that would print one, exits 3 with a line naming the
+limit.
 """
 
 from __future__ import annotations
@@ -30,22 +31,9 @@ from .games import ResourceLimitError, Universe, game_text
 from .rcf import reduced_canonical_form
 
 
-_INT = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")  # what int() reads in base 10
-
-
-def _digit_limit() -> int:
-    """CPython's int-string limit; 0, no limit, where the Python has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _int(text: str) -> int:
-    """An int argument; one of more digits than the limit is refused as a
-    resource limit, not as bad input."""
-    match, limit = _INT.fullmatch(text), _digit_limit()
-    digits = len(match[1].replace("_", "")) if match else 0
-    if limit and digits > limit:
-        raise ResourceLimitError(f"integer argument of {digits} digits exceeds the int-string limit of {limit} digits")
-    return int(text)
+    """An int argument, read by ``nugget.read_int``."""
+    return nugget.read_int(text, "integer argument")
 
 
 _int.__name__ = "int"  # argparse's "invalid int value" names the type by it
@@ -57,7 +45,7 @@ def _printed(answer):
     try:
         return answer()
     except ValueError:
-        raise ResourceLimitError(f"the answer needs more digits than the int-string limit of {_digit_limit()} digits") from None
+        raise ResourceLimitError(f"the answer needs more digits than the int-string limit of {nugget.digit_limit()} digits") from None
 
 
 def _nonnegative_int(text: str) -> int:

@@ -22,6 +22,8 @@ log(heap size); the brute-force oracle is guarded by a bound.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from math import isqrt
@@ -273,6 +275,26 @@ def _heap_text(h: int) -> str:
     return f"{'-' if h < 0 else ''}...{abs(h) % 10**12:012d} ({h.bit_length()} bits)"
 
 
+# what int() reads in base 10; re compiles it at the first read, not at import
+_INT = r"\s*[+-]?(\d+(?:_\d+)*)\s*"
+
+
+def digit_limit() -> int:
+    """CPython's int-string limit; 0, no limit, where the Python has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def read_int(text: str, what: str) -> int:
+    """``int(text)``, but a literal of more digits than the limit is refused
+    as a resource limit naming ``what``, its digit count and the limit, not
+    as bad input, and its digits are not echoed."""
+    match, limit = re.fullmatch(_INT, text), digit_limit()
+    digits = len(match[1].replace("_", "")) if match else 0
+    if limit and digits > limit:
+        raise ResourceLimitError(f"{what} of {digits} digits exceeds the int-string limit of {limit} digits")
+    return int(text)
+
+
 def q_members(limit: int) -> list[int]:
     """All positive heaps in Q = (B^2 + 1) union {F(2n+3) - 2} up to limit."""
     b2_hat = fw.values_upto(lambda n: fw.compose_ab("BB", n) + 1, limit)
@@ -348,22 +370,29 @@ def sum_stops(terms) -> tuple[Dyadic, Dyadic]:
     even i, where P = t1 - t2 + ... +- t_(i-1).  Both hold: P pairs its
     terms into nonnegative differences, with t_(i-1) >= t_i left over when
     i is even.  The right stop is the mirror image.
+
+    The sum runs in integers: every value is counted in units of 2^-top,
+    top the largest exponent among the terms' numbers, so each term is an
+    exact integer count and no sum rounds.  The stops are halves, so the two
+    ``Dyadic`` stops are built once at the end with exponent top + 1, and
+    ``Dyadic`` brings them to lowest terms: the same values as a sum of
+    ``Dyadic`` terms.
     """
-    twice_mean = ZERO
+    top = max((value.value.exp for _, value in terms), default=0)
+    one = 1 << top
+    twice_mean = 0
     heats = []  # the temperatures, doubled
-    for sign, value in terms:
-        if value.kind == "number":
-            part = value.value + value.value
+    for sign, (kind, value) in terms:
+        units = value.num << (top - value.exp)
+        if kind == "number":
+            part = units + units
         else:
-            part = ONE + value.value
-            heats.append(ONE - value.value)
-        twice_mean = twice_mean + part if sign > 0 else twice_mean - part
+            part = one + units
+            heats.append(one - units)
+        twice_mean += part if sign > 0 else -part
     heats.sort(reverse=True)
-    swing = ZERO
-    for k, heat in enumerate(heats):
-        swing = swing - heat if k % 2 else swing + heat
-    left, right = twice_mean + swing, twice_mean - swing
-    return Dyadic(left.num, left.exp + 1), Dyadic(right.num, right.exp + 1)
+    swing = sum(heats[0::2]) - sum(heats[1::2])
+    return Dyadic(twice_mean + swing, top + 1), Dyadic(twice_mean - swing, top + 1)
 
 
 # -- the oracle ----------------------------------------------------------------
@@ -413,7 +442,7 @@ GOLDEN = GoldenSpec()
 def check_bound(h: int, bound: int) -> None:
     """Refuse a heap the oracle may not expand: one over ``bound``."""
     if h > bound:
-        raise ResourceLimitError(f"heap {h} exceeds the oracle bound {bound}")
+        raise ResourceLimitError(f"heap {_heap_text(h)} exceeds the oracle bound {bound}")
 
 
 def heap_canonical(u: Universe, h: int, bound: int = ORACLE_BOUND) -> GameId:

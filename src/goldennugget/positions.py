@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
 from . import fibonacci as fw
 from . import nugget
@@ -34,15 +35,20 @@ class Position(namedtuple("Position", "heaps")):
 
     @classmethod
     def parse(cls, text: str) -> "Position":
-        """Parse a literal like ``3b+20b+18r``."""
-        heaps: tuple[tuple[str, int], ...] = ()
+        """Parse a literal like ``3b+20b+18r``, checking each heap once.  A
+        heap of more digits than the int-string limit is a resource limit
+        (``nugget.read_int``)."""
+        heaps = []
         for part in text.split("+"):
             part = part.strip()
             try:
-                heaps += cls(((part[-1], int(part[:-1])),)).heaps
-            except (IndexError, ValueError):
-                raise ValueError(f"bad heap literal {part!r} in {text!r}") from None
-        return cls(heaps)
+                size = nugget.read_int(part[:-1], "heap literal")
+            except ValueError:
+                size = -1
+            if part[-1:] not in (BLUE, RED) or size < 0:
+                raise ValueError(f"bad heap literal {part!r} in {text!r}")
+            heaps.append((part[-1], size))
+        return super().__new__(cls, tuple(heaps))
 
     def __str__(self) -> str:
         return "+".join(f"{size}{color}" for color, size in self.heaps)
@@ -248,17 +254,18 @@ def _check_mover(mover: str) -> None:
         raise ValueError(f"mover must be 'L' or 'R', got {mover!r}")
 
 
-def legal_moves(spec: CSGameSpec, p: Position, mover: str) -> list[Move]:
-    """All moves for L or R, ordered by heap index then amount."""
+def legal_moves(spec: CSGameSpec, p: Position, mover: str) -> Iterator[Move]:
+    """The moves for L or R, yielded in order of heap index, then amount.
+
+    The mover is checked at the call; each amount's membership is tested
+    only when the search asks for its next move, so a search that stops at
+    its first winner tests no amount past it.
+    """
     _check_mover(mover)
-    moves = []
-    for index, (color, size) in enumerate(p.heaps):
-        mover_is_left_here = (mover == "L") == (color == BLUE)
-        for amount in range(1, size + 1):
-            ok = spec.left_ok(amount) if mover_is_left_here else spec.right_ok(amount)
-            if ok:
-                moves.append(Move(index, amount))
-    return moves
+    return (Move(index, amount)
+            for index, (color, size) in enumerate(p.heaps)
+            for amount in range(1, size + 1)
+            if (spec.left_ok if (mover == "L") == (color == BLUE) else spec.right_ok)(amount))
 
 
 def winning_move(
@@ -271,7 +278,9 @@ def winning_move(
     """Some move after which the mover wins going second, or None.
 
     Each move is one call of :func:`_second_player_test`.  Deterministic
-    tie-break: smallest heap index, then smallest amount.
+    tie-break: smallest heap index, then smallest amount.  The moves are
+    tried in that order as :func:`legal_moves` yields them, and the search
+    stops at the first winner, so no later amount is tested or built.
 
     Only a mover who wins moving first searches.  The position's game has
     the legal moves as its options, and G <= 0 holds iff no Left option

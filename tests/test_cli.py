@@ -89,6 +89,19 @@ def test_an_int_argument_past_the_digit_limit_is_a_resource_limit(capsys, digit_
     assert code == 0 and "3 resource limit" in help_text and "int-string limit" in help_text
 
 
+def test_a_heap_literal_past_the_digit_limit_is_a_resource_limit(capsys, digit_limit):
+    # neither refusal echoes the heap's digits
+    heap = "1" + "0" * 4300
+    for argv in (["solve", heap + "b"], ["solve", "3b+" + heap + "r", "--mover", "L"]):
+        assert run(argv) == ("", 3), argv
+        assert capsys.readouterr().err == (
+            "resource limit: heap literal of 4301 digits exceeds the int-string limit of 4300 digits\n")
+    h = int(heap[:-1])
+    assert run(["solve", heap[:-1] + "b"]) == ("", 3)
+    assert capsys.readouterr().err == (
+        f"resource limit: heap ...000000000000 ({h.bit_length()} bits) exceeds the oracle bound 60\n")
+
+
 def test_an_answer_past_the_digit_limit_is_a_resource_limit(capsys, digit_limit):
     # s(7200) needs more than 4,300 digits; the 3,011-digit heap does not
     h = nugget.g_heap(3, 7200)

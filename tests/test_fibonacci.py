@@ -234,6 +234,36 @@ def test_validate_requires_the_normal_form():
         fw.FibRepr(fw.ZECKENDORF, ((2, 1), (5, 1))).validate()
 
 
+def test_validate_names_each_kind_rule():
+    for kind, terms, message in (
+        (fw.ZECKENDORF, ((5, 2),), "zeckendorf: repeated index"),
+        (fw.LEAST_ODD, ((6, 1), (5, 1)), "least-odd: consecutive indices"),
+        (fw.ZECKENDORF, ((5, 1), (1, 1)), "zeckendorf: least index below 2"),
+        (fw.LEAST_ODD, ((5, 1), (2, 1)), "least-odd: least index is even"),
+        (fw.EVEN, ((6, 1), (3, 1)), "even: odd index present"),
+        (fw.EVEN, ((6, 3),), "even: multiplicity not 1 or 2"),
+        (fw.EVEN, (), "empty representation"),
+        ("binary", ((5, 1),), "unknown kind 'binary'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fw.FibRepr(kind, terms).validate()
+
+
+def test_argument_guards_name_the_bad_argument():
+    for call, message in (
+        (lambda: fw.even_repr(0), "positive integer required, got 0"),
+        (lambda: fw.ze_transform(fw.even_repr(7)), "ze_transform expects a zeckendorf representation"),
+        (lambda: fw.compose_ab("AB", -1), "nonnegative integer required, got -1"),
+        (lambda: fw.compose_ab("AC", 1), "bad letter 'C' in composition word"),
+        (lambda: fw.morphism_power(-1), "nonnegative integer required, got -1"),
+        (lambda: fw.word_prefix(-1), "nonnegative length required, got -1"),
+        (lambda: fw.zeckendorf(7).to_ternary(), "ternary coding applies to even representations"),
+        (lambda: fw.parse_repr("F5+G2"), "bad term 'G2'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_even_gap_rule_rejected():
     with pytest.raises(ValueError):
         fw.parse_repr("F4+F4+F2+F2", fw.EVEN)  # doubled terms with no unused index between

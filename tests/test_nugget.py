@@ -35,12 +35,18 @@ def test_value_ladders():
         assert nugget.q_val(n).binary() == "0." + "10" * (n - 1) + "11"
         assert nugget.s_val(n) < nugget.s_val(n + 1)
         assert nugget.q_val(n + 1) < nugget.q_val(n)
+    for ladder in (nugget.s_val, nugget.q_val):
+        with pytest.raises(ValueError, match="^nonnegative integer required, got -1$"):
+            ladder(-1)
 
 
 def test_g_heap_rows():
     for n in range(1, 7):
         for i in range(50):
             assert nugget.g_heap(i, n) == fw.compose_ab("B" * (n + 1), i) + fw.fib(2 * n + 3) - 2
+    for i, n in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError, match=f"^need i >= 0 and n >= 1, got i={i}, n={n}$"):
+            nugget.g_heap(i, n)
 
 
 def test_classify_examples():
@@ -140,6 +146,55 @@ def test_sum_stops_of_seeded_sums_are_their_games_stops():
         for _ in range(draws):
             terms = [(rng.choice((1, -1)), nugget.heap_rcf(rng.randint(0, top))) for _ in range(count)]
             assert nugget.sum_stops(terms) == _stops_of_the_summed_games(u, terms), terms
+
+
+def _half(d):
+    return Dyadic(d.num, d.exp + 1)
+
+
+def _stops_by_the_dyadic_definition(terms):
+    """m + f and m - f as ``sum_stops`` states them, summed in ``Dyadic``: m the
+    sum of the signed means, f = t1 - t2 + t3 - ... over the temperatures."""
+    mean, temperatures = ZERO, []
+    for sign, value in terms:
+        part = value.value
+        if value.kind == "switch":
+            part = _half(ONE + value.value)
+            temperatures.append(_half(ONE - value.value))
+        mean = mean + part if sign > 0 else mean - part
+    swing = ZERO
+    for k, t in enumerate(sorted(temperatures, reverse=True)):
+        swing = swing - t if k % 2 else swing + t
+    return mean + swing, mean - swing
+
+
+def test_sum_stops_match_the_dyadic_definition_on_long_fractions():
+    # g0 and g-switch heaps up to row 2,000, where s(n) has 3,999 fractional
+    # bits, b2-hat heaps whose values have 101 to 160 bits, and small heaps of
+    # every kind, summed with mixed signs
+    rng = random.Random(0)
+    pool = [nugget.heap_rcf(h) for h in range(30)]
+    pool += [nugget.heap_rcf(nugget.g_heap(i, n)) for n in (*range(1, 20), 500, 1999, 2000) for i in (0, 1, 4)]
+    for _ in range(40):
+        bits = rng.randint(101, 160)
+        d = Dyadic(rng.randrange((2 << bits) // 3 + 1, 1 << bits) | 1, bits)
+        pool.append(nugget.heap_rcf(nugget.xi(d)))
+        assert pool[-1] == nugget.RcfValue("number", d)
+    assert max(value.value.exp for value in pool) == 3999
+    assert nugget.sum_stops([]) == _stops_by_the_dyadic_definition([]) == (ZERO, ZERO)
+    for _ in range(400):
+        terms = [(rng.choice((1, -1)), rng.choice(pool)) for _ in range(rng.randint(1, 6))]
+        assert nugget.sum_stops(terms) == _stops_by_the_dyadic_definition(terms), terms
+
+
+def test_check_bound_names_a_long_heap_by_its_last_digits():
+    for h in (61, 10**40 - 1):
+        with pytest.raises(ResourceLimitError, match=f"^heap {h} exceeds the oracle bound 60$"):
+            nugget.check_bound(h, 60)
+    h = 7 * 10**4299 + 123
+    with pytest.raises(ResourceLimitError,
+                       match=rf"^heap \.\.\.000000000123 \({h.bit_length()} bits\) exceeds the oracle bound 60$"):
+        nugget.check_bound(h, 60)
 
 
 def test_heap_canonical_examples():

@@ -72,6 +72,36 @@ def test_winning_move_checks_the_mover_before_any_work(u):
         assert len(u) == size  # no heap was built
 
 
+def test_legal_moves_checks_the_mover_at_the_call():
+    # before the first move is asked for
+    with pytest.raises(ValueError, match="mover must be 'L' or 'R', got 'X'"):
+        pos.legal_moves(nugget.GOLDEN, pos.Position.parse("3b"), "X")
+
+
+def test_the_move_search_tests_no_amount_past_its_first_winner(u, monkeypatch):
+    # the golden predicates record each amount tested; a listing of every
+    # move would test every amount of every heap
+    tested = []
+
+    def recording(predicate):
+        return lambda k: tested.append(k) or predicate(k)
+
+    for name in ("left_ok", "right_ok"):
+        monkeypatch.setattr(nugget.GOLDEN, name, recording(getattr(nugget.GOLDEN, name)))
+    cut_short = 0
+    for text in ("44b+7r+30r", "60b", "3b+20b+18r", "12r+40b", "5b+9r+2b", "17b+17r"):
+        p = pos.Position.parse(text)
+        for mover in ("L", "R"):
+            move = pos.winning_move(u, p, mover)  # builds the test and any oracle forms first
+            tested.clear()
+            assert pos.winning_move(u, p, mover) == move
+            order = [(index, amount) for index, (_, size) in enumerate(p.heaps) for amount in range(1, size + 1)]
+            searched = order[:order.index(move) + 1] if move else []
+            assert tested == [amount for _, amount in searched], (text, mover)
+            cut_short += move is not None and len(searched) < len(order)
+    assert cut_short >= 5
+
+
 @pytest.fixture(scope="module")
 def shared_u():
     """One Universe for many examples; its memo tables hold only exact answers."""
@@ -194,6 +224,9 @@ def test_spec_parsing():
         pos.parse_spec("nonsense")
     with pytest.raises(ValueError):
         pos.parse_spec("beatty:sqrt4")  # sqrt(4) is rational
+    for literal in ("mod:1:L=0", "mod:0:L="):
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            pos.parse_spec(literal)
 
 
 def test_spec_is_named_by_its_normalized_literal():
@@ -220,6 +253,8 @@ def test_cs_outcomes_examples():
     for h in range(21):
         want = Outcome.P if h == 0 else (Outcome.L if h % 2 else Outcome.N)
         assert oddeven[h] == want
+    with pytest.raises(ValueError, match="^nonnegative bound required, got -1$"):
+        pos.cs_outcomes(pos.ODD_EVEN, -1)
 
 
 def test_golden_heaps_share_one_memo(u):
