@@ -18,10 +18,6 @@ from .dyadic import Dyadic, ZERO, simplest_number
 GameId = int
 
 
-class ResourceLimitError(RuntimeError):
-    """A configured size bound (e.g. the oracle bound) was exceeded."""
-
-
 class Outcome(enum.Enum):
     L = "L"
     R = "R"

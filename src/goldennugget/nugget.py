@@ -30,9 +30,12 @@ from math import isqrt
 
 from . import fibonacci as fw
 from .dyadic import Dyadic, ZERO, ONE
-from .games import GameId, ResourceLimitError, Universe, game_text
 
 ORACLE_BOUND = 60
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured size bound (e.g. the oracle bound) was exceeded."""
 
 
 def s_val(n: int) -> Dyadic:
@@ -313,6 +316,8 @@ class RcfValue(namedtuple("RcfValue", "kind value")):
     __slots__ = ()
 
     def __str__(self) -> str:
+        from .games import game_text  # imported here, so that the classifier loads no arena
+
         return game_text(self.to_json_obj())
 
     def to_json_obj(self):

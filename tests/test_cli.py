@@ -20,30 +20,46 @@ def run(argv):
     return cli.capture(argv)
 
 
+def fresh(code: str, *flags: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter on this checkout's package."""
+    src = Path(cli.__file__).parents[1]
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('goldennugget.'))"
+
+
 def test_package_import_loads_no_submodule():
     # the modules are the API: importing the package binds only __version__
-    src = Path(cli.__file__).parents[1]
-    code = ("import sys, goldennugget; "
-            "print(sorted(m for m in sys.modules if m.startswith('goldennugget.')), "
-            "sorted(n for n in vars(goldennugget) if not n.startswith('__')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    out = fresh(f"import sys, goldennugget; print({LOADED}, sorted(n for n in vars(goldennugget) if not n.startswith('__')))")
     assert out == "[] []\n"
 
 
 def test_commands_load_no_dataclasses_inspect_or_typing():
     # each costs milliseconds at every cold start; whatever the standard-library
     # modules the package imports load on their own (on some Python) is not counted
-    src = Path(cli.__file__).parents[1]
     code = ("import sys; heavy = {'dataclasses', 'inspect', 'typing'}; "
             "import __future__, argparse, bisect, collections.abc, contextlib, csv, enum, functools, "
             "io, itertools, json, math, random, re, time; "
             "before = heavy & set(sys.modules); "
             "import goldennugget.nugget; import goldennugget.cli; "
             "print(sorted(heavy & set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out == "[]\n"
+    assert fresh(code, "-S") == "[]\n"
+
+
+def test_the_classifier_loads_no_game_arena():
+    # a classifier stream compiles dyadic, fibonacci and nugget only; a form's
+    # text still comes from games.game_text, imported when it is written
+    out = fresh(f"import sys, goldennugget.nugget as n; print({LOADED}, n.heap_rcf(16))")
+    assert out == "['goldennugget.dyadic', 'goldennugget.fibonacci', 'goldennugget.nugget'] {1|1/2}\n"
+
+
+def test_the_cli_loads_every_traced_layer_but_not_verify():
+    # perfbench's tracer imports cli to load the layers it wraps; verify loads
+    # only for the verify command
+    layers = ["cli", "dyadic", "fibonacci", "games", "nugget", "positions", "rcf"]
+    assert fresh(f"import sys, goldennugget.cli; print({LOADED})") == f"{[f'goldennugget.{m}' for m in layers]}\n"
 
 
 def test_rcf_text_of_a_deep_number_heap():
@@ -162,7 +178,7 @@ def test_csv_rows_are_the_text_rows(argv):
     assert [header, *rows] == [line.split("\t") for line in text.splitlines()]
 
 
-def test_verify_command(monkeypatch):
+def test_verify_command(monkeypatch, capsys):
     # on stub suites: the real ones run once each in test_acceptance.py
     calls = {}
 
@@ -185,8 +201,10 @@ def test_verify_command(monkeypatch):
     assert run(["verify", "--suite", "both", "--bound", "20"]) == ("[both] PASS  fine\nOK: 0 failing check(s)\n", 0)
     assert calls["both"] == (20, 0)
     assert run(["verify", "--suite", "both", "--seed", "3"])[1] == 0 and calls["both"] == (60, 3)
+    monkeypatch.undo()  # the refusal lists the real suites, which the help no longer does
     out, code = run(["verify", "--suite", "bogus"])
-    assert code == 2
+    assert (out, code) == ("", 2)
+    assert capsys.readouterr().err == f"error: unknown suite 'bogus'; available: {', '.join(sorted(verify.SUITES))}\n"
 
 
 def test_usage_errors_exit_2():

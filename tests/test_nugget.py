@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from goldennugget import fibonacci as fw
 from goldennugget import nugget, verify
 from goldennugget.dyadic import Dyadic, ZERO, ONE
-from goldennugget.games import ResourceLimitError, Universe
-from goldennugget.nugget import GoldenSpec, HeapClass
+from goldennugget.games import Universe
+from goldennugget.nugget import GoldenSpec, HeapClass, ResourceLimitError
 
 
 def test_subtraction_predicates():

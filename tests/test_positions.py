@@ -7,7 +7,8 @@ from goldennugget import fibonacci as fw
 from goldennugget import nugget
 from goldennugget import positions as pos
 from goldennugget.dyadic import Dyadic
-from goldennugget.games import Outcome, ResourceLimitError, Universe
+from goldennugget.games import Outcome, Universe
+from goldennugget.nugget import ResourceLimitError
 from goldennugget.verify import sum_route_winning_move
 
 
