@@ -38,6 +38,11 @@ class Universe:
     Insertions are idempotent: ``make_game`` returns the same id for the
     same option sets forever, and every cached answer equals what an
     uncached recomputation would produce.
+
+    The comparison memo ``_geq`` is a list of rows, one per record:
+    ``_geq[g][h]`` is whether g >= h, once it has been computed.
+    :meth:`_intern`, the only place a record is appended, appends its empty
+    row, so ``len(_geq) == len(self)`` always holds and every id indexes a row.
     """
 
     def __init__(self):
@@ -45,7 +50,7 @@ class Universe:
         self._ids: dict[tuple[tuple[GameId, ...], tuple[GameId, ...]], GameId] = {}
         self._neg: dict[GameId, GameId] = {}
         self._sum: dict[tuple[GameId, GameId], GameId] = {}
-        self._geq: dict[tuple[GameId, GameId], bool] = {}
+        self._geq: list[dict[GameId, bool]] = []
         self._numval: dict[GameId, Dyadic | None] = {}
         self._stops: dict[GameId, tuple[Dyadic, Dyadic]] = {}
         self._numbers: dict[Dyadic, GameId] = {}
@@ -75,6 +80,7 @@ class Universe:
         if known is None:
             known = self._ids[rec] = len(self._records)
             self._records.append(rec)
+            self._geq.append({})
         return known
 
     def options(self, g: GameId) -> tuple[tuple[GameId, ...], tuple[GameId, ...]]:
@@ -117,17 +123,23 @@ class Universe:
     # -- order ---------------------------------------------------------
 
     def geq(self, g: GameId, h: GameId) -> bool:
-        """g >= h: Left wins g - h moving second."""
+        """g >= h: Left wins g - h moving second.
+
+        Memoized in g's row, ``_geq[g][h]``; no lookup builds a key, since
+        each row is keyed by the ids the records already hold.
+        """
         if g == h:
             return True
-        memo = self._geq
-        done = memo.get((g, h))
+        rows = self._geq
+        g_row = rows[g]
+        done = g_row.get(h)
         if done is not None:
             return done
         # fails iff some right option of g is <= h or some left option of h is >= g
         result = True
+        h_row = rows[h]
         for gr in self._records[g][1]:
-            worse = memo.get((h, gr))
+            worse = h_row.get(gr)
             if worse is None:
                 worse = self.geq(h, gr)
             if worse:
@@ -135,13 +147,13 @@ class Universe:
                 break
         else:
             for hl in self._records[h][0]:
-                better = memo.get((hl, g))
+                better = rows[hl].get(g)
                 if better is None:
                     better = self.geq(hl, g)
                 if better:
                     result = False
                     break
-        memo[(g, h)] = result
+        g_row[h] = result
         return result
 
     def outcome(self, g: GameId, h: GameId | None = None) -> Outcome:

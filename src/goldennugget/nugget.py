@@ -316,9 +316,10 @@ class RcfValue(namedtuple("RcfValue", "kind value")):
     __slots__ = ()
 
     def __str__(self) -> str:
-        from .games import game_text  # imported here, so that the classifier loads no arena
-
-        return game_text(self.to_json_obj())
+        """The game text of :meth:`to_json_obj`, as ``games.game_text`` writes it."""
+        if self.kind == "number":
+            return str(self.value)
+        return f"{{1|{self.value}}}"
 
     def to_json_obj(self):
         """The game's JSON form (see :meth:`Universe.to_json_obj`), built without a game."""

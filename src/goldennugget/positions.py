@@ -157,12 +157,15 @@ def position_value(
 
 
 def _second_player_test(u: Universe, p: Position, spec: CSGameSpec, bound: int):
-    """The one test every answer of a solve comes from: ``wins(player, index,
-    size)``, whether ``player`` wins moving second once heap ``index`` of p
-    holds ``size`` tokens.  For golden every heap is checked against the
+    """The one test every answer of a solve comes from: ``wins(u, player,
+    index, size)``, whether ``player`` wins moving second once heap ``index``
+    of p holds ``size`` tokens.  For golden every heap is checked against the
     bound first, in input order.  The test is built once per (p, spec,
     bound), in ``u``'s "second-player" table and only once the bound checks
     pass, so a solve's outcome and its moves share the stops and -R_i below.
+    The test takes ``u`` as its first argument, so the table that holds it
+    holds no reference back to ``u``, and reference counting frees a
+    solve's arena when its command returns.
 
     With v heap ``index``'s signed value and R_i the value of the other
     heaps, the game is G = v + R_i; Left wins it moving second iff G >= 0,
@@ -213,7 +216,7 @@ def _second_player_test(u: Universe, p: Position, spec: CSGameSpec, bound: int):
     stops: dict[tuple[int, int], tuple] = {}
     minus_rests: dict[int, GameId] = {}
 
-    def wins(player: str, index: int, size: int) -> bool:
+    def wins(u: Universe, player: str, index: int, size: int) -> bool:
         if terms is not None:
             if filled <= {index}:
                 return size == 0 or ((player == "L") == (p.heaps[index][0] == BLUE) and fw.in_a(size))
@@ -246,7 +249,7 @@ def position_outcome(
         return u.outcome(u.zero)
     wins = _second_player_test(u, p, spec, bound)
     size = p.heaps[0][1]
-    return Outcome.from_wins(not wins("R", 0, size), not wins("L", 0, size))
+    return Outcome.from_wins(not wins(u, "R", 0, size), not wins(u, "L", 0, size))
 
 
 def _check_mover(mover: str) -> None:
@@ -293,10 +296,10 @@ def winning_move(
     """
     _check_mover(mover)
     wins = _second_player_test(u, p, spec, bound)
-    if p.heaps and wins("R" if mover == "L" else "L", 0, p.heaps[0][1]):
+    if p.heaps and wins(u, "R" if mover == "L" else "L", 0, p.heaps[0][1]):
         return None
     for move in legal_moves(spec, p, mover):
-        if wins(mover, move.index, p.heaps[move.index][1] - move.amount):
+        if wins(u, mover, move.index, p.heaps[move.index][1] - move.amount):
             return move
     return None
 

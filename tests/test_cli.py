@@ -49,9 +49,9 @@ def test_commands_load_no_dataclasses_inspect_or_typing():
 
 
 def test_the_classifier_loads_no_game_arena():
-    # a classifier stream compiles dyadic, fibonacci and nugget only; a form's
-    # text still comes from games.game_text, imported when it is written
-    out = fresh(f"import sys, goldennugget.nugget as n; print({LOADED}, n.heap_rcf(16))")
+    # a classifier stream compiles dyadic, fibonacci and nugget only, also
+    # once a form's text is written
+    out = fresh(f"import sys, goldennugget.nugget as n; text = str(n.heap_rcf(16)); print({LOADED}, text)")
     assert out == "['goldennugget.dyadic', 'goldennugget.fibonacci', 'goldennugget.nugget'] {1|1/2}\n"
 
 

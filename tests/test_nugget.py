@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from goldennugget import fibonacci as fw
 from goldennugget import nugget, verify
 from goldennugget.dyadic import Dyadic, ZERO, ONE
-from goldennugget.games import Universe
+from goldennugget.games import Universe, game_text
 from goldennugget.nugget import GoldenSpec, HeapClass, ResourceLimitError
 
 
@@ -340,6 +340,15 @@ def test_xi_inverse_accepts_exactly_the_number_heaps_up_to_2e5():
 def test_xi_inverse_accepts_exactly_the_number_heaps_near_fibonacci_numbers():
     for h, cls, _ in _walk("near Fibonacci numbers"):
         _assert_xi_inverse_accepts_a_number_heap(h, cls)
+
+
+def test_heap_rcf_text_is_the_game_text_of_its_json_form():
+    # every heap to 2000, and the transcript's rcf heaps of 61-294 digits
+    big = [fw.compose_ab("BB", 10**60) + 1, nugget.g_heap(7, 150), fw.compose_ab("AB", 10**60) + 1,
+           nugget.g_heap(3, 700), nugget.g_heap(0, 700)]
+    for h in [*range(2001), *big]:
+        v = nugget.heap_rcf(h)
+        assert str(v) == game_text(v.to_json_obj())
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,25 @@ def test_second_player_test_is_kept_per_position_spec_and_bound():
     assert pos.winning_move(u, p, "L") == pos.winning_move(u, p, "L", oracle) == pos.Move(0, 1)
     assert list(u.cache("oracle")) == [oracle]
     assert pos._second_player_test(u, p, nugget.GOLDEN, 60) is pos._second_player_test(u, p, nugget.GOLDEN, 60)
+
+
+def test_a_solved_arena_is_freed_without_a_cyclic_collection():
+    # 39b+57r ties on its stops, so the solve builds oracle forms in u; the
+    # table of second-player tests holds no reference back to u
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        u = Universe()
+        p = pos.Position.parse("39b+57r")
+        assert pos.position_outcome(u, p) == Outcome.N
+        assert [pos.winning_move(u, p, mover) for mover in "LR"] == [pos.Move(1, 5), pos.Move(1, 12)]
+        assert u.cache("oracle")
+        arena = weakref.ref(u)
+        del u
+        assert arena() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_stops_decide_a_position_with_no_game_built(u):
