@@ -2,8 +2,9 @@
 
 Every suite yields :class:`Check` results computed with exact arithmetic
 at the stated bounds; the CLI ``verify`` subcommand prints them and exits
-nonzero when anything fails.  Randomized checks draw from a seeded
-generator so runs are reproducible.
+nonzero when anything fails.  The game core's checks run over every game
+born by day 3 and need no seed; the randomized checks of the other suites
+draw from a seeded generator, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import random
 import time
 from collections import namedtuple
+from itertools import combinations
 
 from . import fibonacci as fw
 from . import nugget
 from . import positions as pos
 from .dyadic import Dyadic, HALF, ONE
-from .games import Outcome, Universe
+from .games import GameId, Outcome, Universe
 from .rcf import eq_inf, geq_inf, reduced_canonical_form
 
 
@@ -47,35 +49,46 @@ def sweep(name: str, pairs) -> Check:
     return Check(name, bool(ok), detail, time.perf_counter() - start)
 
 
-def _random_game(u: Universe, rng: random.Random, depth: int) -> int:
-    if depth == 0 or rng.random() < 0.3:
-        num = rng.randint(-4, 4)
-        exp = rng.randint(0, 2)
-        return u.from_number(Dyadic(num, exp))
-    left = [_random_game(u, rng, depth - 1) for _ in range(rng.randint(0, 2))]
-    right = [_random_game(u, rng, depth - 1) for _ in range(rng.randint(0, 2))]
-    return u.make_game(left, right)
+def games_born_by(u: Universe, day: int) -> list[GameId]:
+    """The canonical forms of the games born by ``day``, sorted by id: 1, 4, 22
+    and 1,474 of them for days 0-3 (Siegel, *Combinatorial Game Theory*; OEIS A065401).
+
+    Each day's forms are the distinct canonical forms of {L | R} over every
+    pair of antichains, under ``>=``, of the previous day's forms.  That
+    suffices: a canonical form born by day n + 1 has canonical options born
+    by day n, and those on one side are pairwise incomparable, since no
+    option is dominated and distinct canonical forms are never equal.  So
+    the form is itself such a {L | R}, and every such game is born by day n + 1.
+    """
+    born = [u.zero]
+    for _ in range(day):
+        antichains = [[]]
+        for g in born:
+            antichains += [a + [g] for a in antichains if not any(u.geq(g, x) or u.geq(x, g) for x in a)]
+        born = sorted({u.canonical_form(u.make_game(left, right)) for left in antichains for right in antichains})
+    return born
 
 
 # -- game-core ---------------------------------------------------------------
 
 
-def suite_game_core(bound: int = 60, seed: int = 0):
+def suite_game_core(bound: int = 60):
     u = Universe()
-    rng = random.Random(seed)
-    games = [_random_game(u, rng, 4) for _ in range(120)]
+    days = [games_born_by(u, day) for day in range(4)]
+    counts = [len(games) for games in days]
+    yield Check("games born by days 0-3 number 1, 4, 22 and 1,474", counts == [1, 4, 22, 1474], str(counts))
+    day2, day3 = days[2:]
 
     def consing():
-        for g in games:
-            for h in games[:40]:
-                same = u.canonical_form(g) == u.canonical_form(h)
-                agree = u.geq(g, h) and u.geq(h, g)
-                yield same == agree, f"g={u.to_text(g)} h={u.to_text(h)}"
+        for g in day3:
+            for h in day2:
+                if (g == h) != (u.geq(g, h) and u.geq(h, g)):
+                    yield False, f"g={u.to_text(g)} h={u.to_text(h)}"
 
-    yield sweep("hash-consing: equal canonical id iff geq both ways", consing())
+    yield sweep("hash-consing on day-3 x day-2 forms: equal id iff geq both ways", consing())
     yield sweep(
-        "group law: g + (-g) is a second-player win",
-        ((u.outcome(u.add(g, u.negate(g))) == Outcome.P, u.to_text(g)) for g in games),
+        "group law: g + (-g) is a second-player win on every day-3 form",
+        ((False, u.to_text(g)) for g in day3 if u.outcome(u.add(g, u.negate(g))) != Outcome.P),
     )
 
     def closure():
@@ -95,14 +108,14 @@ def suite_game_core(bound: int = 60, seed: int = 0):
     yield sweep(f"stop sandwich L >= R on heaps <= {bound}", sandwich())
 
     def consistency():
-        for g in games:
-            o = u.outcome(g)
+        for g in day3:
             ge, le = u.geq(g, u.zero), u.geq(u.zero, g)
             want = {(True, True): Outcome.P, (True, False): Outcome.L,
                     (False, True): Outcome.R, (False, False): Outcome.N}[(ge, le)]
-            yield o == want, u.to_text(g)
+            if u.outcome(g) != want:
+                yield False, u.to_text(g)
 
-    yield sweep("outcome matches geq against zero", consistency())
+    yield sweep("outcome matches geq against zero on every day-3 form", consistency())
 
     star = u.make_game([u.zero], [u.zero])
     up = u.make_game([u.zero], [star])
@@ -114,7 +127,7 @@ def suite_game_core(bound: int = 60, seed: int = 0):
 # -- rcf ----------------------------------------------------------------------
 
 
-def suite_rcf(bound: int = 60, seed: int = 0):
+def suite_rcf(bound: int = 60):
     u = Universe()
     heaps = [nugget.heap_canonical(u, h, bound=bound) for h in range(bound + 1)]
     reduced = [reduced_canonical_form(u, g) for g in heaps]
@@ -154,32 +167,34 @@ def suite_rcf(bound: int = 60, seed: int = 0):
     yield Check("{1/2|0} >=I 0 strictly",
                 geq_inf(u, half_switch, u.zero) and not geq_inf(u, u.zero, half_switch))
 
-    rng = random.Random(seed)
-    games = [_random_game(u, rng, 3) for _ in range(120)]
-    results = [reduced_canonical_form(u, g) for g in games]
+    # Inf-closeness is an equivalence, so the next two checks give "same reduced
+    # id iff Inf-close" on every pair of day-3 forms g, h: rcf(g) = rcf(h) gives
+    # g ~ rcf(g) = rcf(h) ~ h, and g ~ h gives rcf(g) ~ g ~ h ~ rcf(h), two
+    # Inf-close reduced forms, which the second check shows are one id
+    day3 = games_born_by(u, 3)
+    forms = sorted({reduced_canonical_form(u, g) for g in day3})
 
-    def uniqueness():
-        for i in range(0, len(games), 2):
-            for j in range(i + 1, min(i + 25, len(games))):
-                same = results[i] == results[j]
-                close = eq_inf(u, games[i], games[j])
-                yield same == close, f"{u.to_text(games[i])} vs {u.to_text(games[j])}"
+    def soundness():
+        for g in day3:
+            r = reduced_canonical_form(u, g)
+            if not (eq_inf(u, g, r) and u.stops(g) == u.stops(r) and reduced_canonical_form(u, r) == r):
+                yield False, u.to_text(g)
 
-    yield sweep("random games: same reduced id iff infinitesimally close", uniqueness())
+    yield sweep("day-3 forms: Inf-close to rcf(g), same stops, rcf(rcf(g)) the same id", soundness())
+    yield sweep(
+        "distinct reduced forms of day-3 forms are never infinitesimally close",
+        ((False, f"{u.to_text(a)} vs {u.to_text(b)}") for a, b in combinations(forms, 2) if eq_inf(u, a, b)),
+    )
+    yield Check("day-3 forms have 61 distinct reduced forms", len(forms) == 61, str(len(forms)))
 
     def structure():
-        seen: set[int] = set()
-        stack = list(results)
-        while stack:
-            r = stack.pop()
-            if r in seen:
-                continue
-            seen.add(r)
+        # the 61 forms hold every option of each of them, so these are all their subpositions
+        for r in forms:
             if u.as_number(r) is not None:
-                yield u.canonical_form(r) == r, f"number subposition {u.to_text(r)}"
+                yield u.canonical_form(r) == r, f"number {u.to_text(r)}"
                 continue
             left_stop, right_stop = u.stops(r)
-            yield left_stop > right_stop, f"tepid subposition {u.to_text(r)}"
+            yield left_stop > right_stop, f"tepid {u.to_text(r)}"
             ls, rs = u.options(r)
             for a in ls:
                 yield not any(b != a and geq_inf(u, b, a) for b in ls), \
@@ -191,10 +206,8 @@ def suite_rcf(bound: int = 60, seed: int = 0):
                     f"Inf-dominated right option in {u.to_text(r)}"
                 yield not any(geq_inf(u, l1, r) for l1 in u.options(b)[0]), \
                     f"Inf-reversible right option in {u.to_text(r)}"
-            stack.extend(ls + rs)
 
-    yield sweep("random games: outputs carry no Inf-dominated or Inf-reversible options",
-                structure())
+    yield sweep("reduced day-3 forms carry no Inf-dominated or Inf-reversible options", structure())
 
 
 # -- fibonacci ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import random
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,7 @@ from goldennugget.dyadic import Dyadic, ZERO, ONE
 from goldennugget.games import Outcome, Universe, game_text
 from goldennugget.positions import parse_spec
 from goldennugget.rcf import geq_inf, reduced_canonical_form
-from goldennugget.verify import _random_game
+from goldennugget.verify import games_born_by
 from gametext import read_game, read_obj
 
 
@@ -25,14 +25,16 @@ def brute_geq(u, g, h):
     return not player_wins(u, diff, "R")
 
 
-def _rand_game(u, rng, depth):
-    """Numbers in [-2, 2] with denominator at most 2, nested up to ``depth``
-    levels with at most two options a side."""
-    if depth == 0 or rng.random() < 0.35:
-        return u.from_number(Dyadic(rng.randint(-2, 2), rng.randint(0, 1)))
-    left = [_rand_game(u, rng, depth - 1) for _ in range(rng.randint(0, 2))]
-    right = [_rand_game(u, rng, depth - 1) for _ in range(rng.randint(0, 2))]
-    return u.make_game(left, right)
+@cache
+def born_by(day):
+    """The games born by ``day`` as JSON forms, for any Universe to build."""
+    u = Universe()
+    return [u.to_json_obj(g) for g in games_born_by(u, day)]
+
+
+def draw(u, rng, day=3):
+    """A game born by ``day``, by default one of the 1,474 born by day 3."""
+    return u.from_json_obj(rng.choice(born_by(day)))
 
 
 def rich_game(u, rng):
@@ -107,11 +109,9 @@ def test_geq_examples(u):
 
 
 def test_geq_matches_brute_force(u):
-    rng = random.Random(7)
-
-    games = [_rand_game(u, rng, 3) for _ in range(40)]
+    games = games_born_by(u, 2)
     for g in games:
-        for h in games[:12]:
+        for h in games:
             assert u.geq(g, h) == brute_geq(u, g, h)
 
 
@@ -125,9 +125,7 @@ def test_outcomes(u):
 
 
 def test_outcome_of_a_difference_matches_the_built_difference(u):
-    rng = random.Random(11)
-
-    games = [_rand_game(u, rng, 3) for _ in range(30)]
+    games = games_born_by(u, 2)
     seen = set()
     for g in games:
         for h in games:
@@ -157,21 +155,6 @@ def test_canonical_form(u):
     assert u.canonical_form(read_game(u, "{0|0,1}")) == read_game(u, "{0|0}")
     up_star = read_game(u, "{0,{0|0}|0}")
     assert u.canonical_form(up_star) == up_star
-    # idempotence on a batch of random games
-    rng = random.Random(3)
-
-    def rand_game(depth):
-        if depth == 0:
-            return u.from_number(Dyadic(rng.randint(-2, 2)))
-        left = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
-        right = [rand_game(depth - 1) for _ in range(rng.randint(0, 2))]
-        return u.make_game(left, right)
-
-    for _ in range(60):
-        g = rand_game(3)
-        c = u.canonical_form(g)
-        assert u.canonical_form(c) == c
-        assert u.geq(g, c) and u.geq(c, g)
 
 
 def test_stops_of_one_sided_games():
@@ -215,13 +198,13 @@ def test_parse_errors(u):
 def test_parse_reads_back_canonical_text(seed):
     u = Universe()
     rng = random.Random(seed)
-    g = _random_game(u, rng, 4)
+    # the second summand is born by day 2, since a sum's tree is about the
+    # product of its summands' trees
+    g = u.add(draw(u, rng), draw(u, rng, 2))
     c = u.canonical_form(g)
     assert read_game(u, u.to_text(c)) == c
-    # at the JSON form the reader inverts the writer on any game, canonical or
-    # not; the sum's draws are shallow, since a sum's tree is about the
-    # product of its summands' trees
-    for h in (g, u.add(_random_game(u, rng, 2), _random_game(u, rng, 2))):
+    # at the JSON form the reader inverts the writer on any game, canonical or not
+    for h in (g, c):
         obj = u.to_json_obj(h)
         assert read_obj(game_text(obj)) == obj
 
@@ -246,7 +229,7 @@ def test_antichain_scan_matches_quadratic_definition(seed, count):
     # overlapping windows first fill the "beaten by" tables the full scan reads
     u = Universe()
     rng = random.Random(seed)
-    games = [_random_game(u, rng, 4) for _ in range(count)] + [rich_game(u, rng) for _ in range(count)]
+    games = [draw(u, rng) for _ in range(count)] + [rich_game(u, rng) for _ in range(count)]
     orders = [
         (u.canonical_form, "canonical", u.geq),
         (partial(reduced_canonical_form, u), "rcf", partial(geq_inf, u)),
@@ -291,12 +274,13 @@ def assert_canonical(u, c):
 @given(st.integers(0, 2**32 - 1))
 def test_canonical_form_meets_its_definition(seed):
     # every comparison here is a plain alternating search, not the geq memo;
-    # a sum of two random games has larger canonical forms than either, and
-    # a rich game usually has options to trim or bypass
+    # a sum of a day-3 and a day-2 form is rarely canonical, and a rich game
+    # usually has options to trim or bypass
     u = Universe()
     rng = random.Random(seed)
-    for g in (u.add(_random_game(u, rng, 4), _random_game(u, rng, 4)), rich_game(u, rng)):
+    for g in (u.add(draw(u, rng), draw(u, rng, 2)), rich_game(u, rng)):
         c = u.canonical_form(g)
+        assert u.canonical_form(c) == c
         assert brute_geq(u, g, c) and brute_geq(u, c, g)
         assert_canonical(u, c)
         assert u.canonical_form(u.negate(g)) == u.negate(c)  # -g is reduced unless g is canonical

@@ -17,8 +17,8 @@ def test_sweep_stops_at_the_first_failure_and_passes_an_empty_sweep():
 
 def test_suite_parameters_are_read_off_each_suite():
     assert {name: suite_parameters(name) for name in SUITES} == {
-        "game-core": {"bound", "seed"},
-        "rcf": {"bound", "seed"},
+        "game-core": {"bound"},
+        "rcf": {"bound"},
         "positions": {"bound", "seed"},
         "fibonacci": {"seed"},
         "nugget": {"bound"},
