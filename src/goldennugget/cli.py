@@ -2,12 +2,12 @@
 
 Subcommands: single-heap queries (value, rcf, classify, number, xi, repr),
 table reproduction, position solving, outcome/periodicity experiments, and
-the named verification suites.  Exit codes: 0 ok, 1 verification failure,
-2 usage or bad input, 3 resource limit.  CPython's int-string limit
-(``sys.get_int_max_str_digits()``, 4,300 digits by default) is one: an int
-argument or a ``solve`` heap of more digits, or an answer (of ``rcf``,
-``number`` or ``xi``) that would print one, exits 3 with a line naming the
-limit.
+the named verification suites.  Exit codes: 0 ok, 1 verification failure (a
+failing check, or a suite that raised), 2 usage or bad input, 3 resource
+limit.  CPython's int-string limit (``sys.get_int_max_str_digits()``, 4,300
+digits by default) is one: an int argument or a ``solve`` heap of more
+digits, or an answer (of ``rcf``, ``number`` or ``xi``) that would print
+one, exits 3 with a line naming the limit.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "run a named invariant suite", ("text",))
     p.add_argument("--suite", required=True, help="a suite name, or all; an unknown name lists the suites")
     p.add_argument("--bound", type=_nonnegative_int, default=None)
-    p.add_argument("--seed", type=_int, metavar="N")
 
     return parser
 
@@ -247,20 +246,27 @@ def cmd_probe_period(args):
 
 def cmd_verify(args):
     """Text only; the payload is the number of failing checks, which sets the exit code.
-    A flag goes only to the suites that take it; a single suite refuses the others."""
+    --bound goes only to the suites that take it; a single suite refuses it.  A
+    suite that raises counts as one failing check."""
     from . import verify as verify_mod  # the dearest module to compile; no other command runs it
 
-    given = {flag: value for flag, value in (("bound", args.bound), ("seed", args.seed)) if value is not None}
+    suites = verify_mod.SUITES
+    takes_bound = {name: "bound" in f.__code__.co_varnames[:f.__code__.co_argcount] for name, f in suites.items()}
+    if args.suite != "all" and args.suite not in suites:
+        raise ValueError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(suites))}")
+    if args.suite != "all" and args.bound is not None and not takes_bound[args.suite]:
+        raise ValueError(f"suite {args.suite!r} takes no --bound")
     failed = 0
     lines = []
-    for name in sorted(verify_mod.SUITES) if args.suite == "all" else [args.suite]:
-        takes = verify_mod.suite_parameters(name)
-        ignored = [f"--{flag}" for flag in given if flag not in takes]
-        if ignored and args.suite != "all":
-            raise ValueError(f"suite {name!r} takes no {' or '.join(ignored)}")
-        for check in verify_mod.SUITES[name](**{flag: given[flag] for flag in given.keys() & takes}):
-            lines.append(f"[{name}] {check.line()}")
-            failed += 0 if check.ok else 1
+    for name in sorted(suites) if args.suite == "all" else [args.suite]:
+        given = {"bound": args.bound} if args.bound is not None and takes_bound[name] else {}
+        try:
+            for check in suites[name](**given):
+                lines.append(f"[{name}] {check.line()}")
+                failed += 0 if check.ok else 1
+        except Exception as exc:  # a suite that raises fails, and the rest still run
+            lines.append(f"[{name}] FAIL  suite raised {type(exc).__name__}: {exc}")
+            failed += 1
     lines.append(f"{'OK' if not failed else 'FAILED'}: {failed} failing check(s)")
     return failed, "\n".join(lines)
 

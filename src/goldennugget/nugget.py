@@ -242,7 +242,7 @@ def xi_inverse(h: int) -> Dyadic:
     even representation of h, which is unique, so the walk reads d back.
     Hence the d read is a value of Q exactly when h is in Q.  The even
     representation leaves an index unused between two doubled ones, so a
-    doubled index never follows a 1 and the last branch cannot fire.
+    doubled index never follows a 1: after a 1 every index is used once.
     """
     if h in (0, 1):
         return Dyadic(h)
@@ -257,10 +257,8 @@ def xi_inverse(h: int) -> Dyadic:
             if after_zero:
                 digits.append("10" if mult == 1 else "11")
                 after_zero = mult == 1
-            elif mult == 1:
-                digits.append("1")
             else:
-                raise AssertionError(f"level F{index} left unsatisfied for heap {h}")
+                digits.append("1")
             e = index
         bits = "".join(digits).rstrip("0")
         d = Dyadic(int(bits, 2), len(bits) - 1)

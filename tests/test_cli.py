@@ -182,29 +182,41 @@ def test_verify_command(monkeypatch, capsys):
     # on stub suites: the real ones run once each in test_acceptance.py
     calls = {}
 
-    def both(bound=60, seed=0):
-        calls["both"] = (bound, seed)
+    def bounded(bound=60):
+        calls["bounded"] = bound
         return [verify.Check("fine", True)]
-
-    def seeded(seed=0):
-        calls["seeded"] = seed
-        return [verify.Check("broken", False, "h=5")]
 
     def plain():
         calls["plain"] = ()
-        return []
+        return [verify.Check("broken", False, "h=5")]
 
-    monkeypatch.setattr(verify, "SUITES", {"both": both, "seeded": seeded, "plain": plain})
-    out, code = run(["verify", "--suite", "all", "--bound", "20", "--seed", "3"])
-    assert calls == {"both": (20, 3), "seeded": 3, "plain": ()}  # each flag only where it is taken
-    assert (out, code) == ("[both] PASS  fine\n[seeded] FAIL  broken  (h=5)\nFAILED: 1 failing check(s)\n", 1)
-    assert run(["verify", "--suite", "both", "--bound", "20"]) == ("[both] PASS  fine\nOK: 0 failing check(s)\n", 0)
-    assert calls["both"] == (20, 0)
-    assert run(["verify", "--suite", "both", "--seed", "3"])[1] == 0 and calls["both"] == (60, 3)
+    monkeypatch.setattr(verify, "SUITES", {"bounded": bounded, "plain": plain})
+    out, code = run(["verify", "--suite", "all", "--bound", "20"])
+    assert calls == {"bounded": 20, "plain": ()}  # --bound only where it is taken
+    assert (out, code) == ("[bounded] PASS  fine\n[plain] FAIL  broken  (h=5)\nFAILED: 1 failing check(s)\n", 1)
+    assert run(["verify", "--suite", "bounded"]) == ("[bounded] PASS  fine\nOK: 0 failing check(s)\n", 0)
+    assert calls["bounded"] == 60
     monkeypatch.undo()  # the refusal lists the real suites, which the help no longer does
     out, code = run(["verify", "--suite", "bogus"])
     assert (out, code) == ("", 2)
     assert capsys.readouterr().err == f"error: unknown suite 'bogus'; available: {', '.join(sorted(verify.SUITES))}\n"
+
+
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_a_suite_that_raises_is_one_failing_check(monkeypatch, capsys, error):
+    # the lines of the suites before it are kept, and the suites after it run
+    def raising(bound=60):
+        yield verify.Check("fine", True)
+        raise error(f"broke at {bound}")
+
+    monkeypatch.setattr(verify, "SUITES", {"a": lambda: [verify.Check("first", True)], "b": raising,
+                                           "c": lambda: [verify.Check("last", True)]})
+    out, code = run(["verify", "--suite", "all", "--bound", "7"])
+    assert (out, code) == ("[a] PASS  first\n[b] PASS  fine\n"
+                           f"[b] FAIL  suite raised {error.__name__}: broke at 7\n"
+                           "[c] PASS  last\nFAILED: 1 failing check(s)\n", 1)
+    assert run(["verify", "--suite", "b"])[1] == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_errors_exit_2():
@@ -319,9 +331,10 @@ def test_json_game_round_trip():
     assert payload["kind"] == "switch"
 
 
-def test_seed_changes_nothing_deterministic():
-    # --seed belongs to verify alone, --oracle-bound to value, table and solve
+def test_a_command_refuses_a_flag_it_does_not_take():
+    # no command takes --seed; --oracle-bound belongs to value, table and solve
     assert run(["table", "--kind", "numbers", "--max", "87", "--seed", "9"]) == ("", 2)
+    assert run(["verify", "--suite", "cli", "--seed", "3"]) == ("", 2)
     assert run(["rcf", "5", "--oracle-bound", "10"]) == ("", 2)
     assert run(["table", "--kind", "values", "--max", "5", "--oracle-bound", "5"])[1] == 0
 
